@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# corner k of a face is opposite the edge (_OPPOSITE[k][0], _OPPOSITE[k][1])
-_OPPOSITE = ((1, 2), (2, 0), (0, 1))
+from .mesh import _OPPOSITE, DegenerateFaceError
+from .metric import _field_differential
 
 
 def _rowdot(a, b):
@@ -87,11 +87,6 @@ def _laplacian_edge_lambda(faces, vol, u, lap_u, v, lap_v):
             v[i] - v[j], wu[i] - wu[j]
         )
     return lam
-
-
-def _field_differential(faces, h):
-    h0, h1, h2 = h[faces[:, 0]], h[faces[:, 1]], h[faces[:, 2]]
-    return np.stack([h1 - h0, h2 - h0], axis=2)
 
 
 def h2_vertex_gradient(geom, u, v, coefficients):
@@ -312,8 +307,6 @@ def _step_discrete(geom, vr, coefficients, want_grads):
         cr = np.cross(dr[:, :, 0], dr[:, :, 1])
         sr = np.linalg.norm(cr, axis=1)
         if np.any(sr <= 0.0):
-            from .mesh import DegenerateFaceError
-
             raise DegenerateFaceError(
                 "zero-area face in path step", int(np.flatnonzero(sr <= 0.0)[0])
             )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis_builder import build_from_manifest
+from .basis_builder import build_from_manifest, read_manifest
 from .config import RunConfig, load_config, save_config
 from .evaluation import evaluate_pair
 from .generation import fit_gmm, generate_shape, load_gmm, save_gmm
@@ -29,6 +29,7 @@ from .mesh import (
     MeshParseError,
     load_mesh,
     mesh_diameter,
+    normalize_unit_diameter,
     save_mesh,
 )
 from .solvers import SolverFailure, geodesic_ivp, relaxed_geodesic, retrieve_latent
@@ -43,7 +44,6 @@ def _build_parser():
     common.add_argument("--config", help="INI configuration file")
     common.add_argument("--output-dir", help="override the configured output directory")
     common.add_argument("--seed", type=int, help="override the configured seed")
-    common.add_argument("--threads", type=int, help="worker count (reductions stay deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("register", parents=[common], help="retrieve the latent code of a scan")
@@ -94,8 +94,6 @@ def _setup(args):
         cfg.output_dir = args.output_dir
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return cfg, out
@@ -103,7 +101,7 @@ def _setup(args):
 
 def _finish(cfg, out, command, log):
     save_config(cfg, out / "effective_config.ini")
-    log = {"command": command, "seed": cfg.seed, "threads": cfg.threads, **log}
+    log = {"command": command, "seed": cfg.seed, **log}
     with open(out / "run_log.json", "w") as fh:
         json.dump(log, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -113,8 +111,6 @@ def _load_input(path, cfg):
     """Load a mesh, optionally rescaled to unit diameter; returns (mesh, scale)."""
     mesh = load_mesh(path)
     if cfg.normalize:
-        from .mesh import normalize_unit_diameter
-
         return normalize_unit_diameter(mesh)
     return mesh, 1.0
 
@@ -133,6 +129,7 @@ def _report_payload(report):
         "grad_norm": report.grad_norm,
         "iterations": list(report.iterations),
         "reason": report.reason,
+        "reasons": list(report.reasons),
         "details": {k: float(v) for k, v in report.details.items()},
     }
 
@@ -173,7 +170,7 @@ def cmd_interpolate(args):
         writer.writerow(["segment", "energy"])
         for t in range(T):
             seg = np.vstack([path[t], path[t + 1]])
-            writer.writerow([t, repr(latent_path_energy(basis, seg, cfg.coefficients) / T)])
+            writer.writerow([t, repr(T * latent_path_energy(basis, seg, cfg.coefficients))])
         writer.writerow(["total", repr(report.details["path_energy"])])
         writer.writerow(["gamma0", repr(report.details["gamma0"])])
         writer.writerow(["gamma1", repr(report.details["gamma1"])])
@@ -261,8 +258,6 @@ def cmd_build_basis(args):
     cfg, out = _setup(args)
     scale = None
     if cfg.normalize:
-        from .basis_builder import read_manifest
-
         records = read_manifest(args.manifest)
         scale = mesh_diameter(load_mesh(records[0].path))
     basis = build_from_manifest(

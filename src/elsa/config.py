@@ -32,7 +32,6 @@ class RunConfig:
     normalize: bool = True
     seed: int = 0
     output_dir: str = "out"
-    threads: int = 1
 
     def require_basis(self):
         if not self.basis_path:
@@ -103,7 +102,6 @@ def load_config(path):
         s = parser["run"]
         cfg.seed = s.getint("seed", cfg.seed)
         cfg.output_dir = s.get("output_dir", cfg.output_dir)
-        cfg.threads = s.getint("threads", cfg.threads)
     return cfg
 
 
@@ -141,7 +139,6 @@ def save_config(cfg, path):
     parser["run"] = {
         "seed": str(cfg.seed),
         "output_dir": cfg.output_dir,
-        "threads": str(cfg.threads),
     }
     with open(path, "w") as fh:
         parser.write(fh)

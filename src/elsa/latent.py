@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import MeshError, TriangleMesh, mesh_from_ply_bytes, ply_bytes
-from .metric import _geometry
+from .metric import _field_differential, _geometry, _normal_variation
 from ._diff import h2_vertex_gradient
 
 _BASIS_MAGIC = b"ELSABAS1"
@@ -121,45 +121,47 @@ def gram(basis, alpha, coefficients, geometry=None):
 
 
 def _gram_from_geometry(basis, geom, coefficients):
+    """Gram matrix as one matrix product per metric term.
+
+    Each term is ``A @ B.T`` over ``(P, K)`` arrays of the fields' features
+    at the foot point (metric-tensor variation, its trace, normal variation,
+    rotation part, Laplacian image, vertex values), each weighted by the
+    square roots of the face areas or vertex volumes.  One term's features
+    are built at a time.
+    """
     a0, a1, b1, c1, d1, a2 = coefficients.as_array()
     H = basis.fields
-    P = basis.dim
-    F = geom.mesh.faces
+    P, N = H.shape[:2]
     fr = geom.frames
     G = geom.ginv
-    area = fr.area
-    vol = geom.vol
+    root_area = np.sqrt(fr.area)[:, None, None]
+    root_vol = np.sqrt(geom.vol)[:, None]
     out = np.zeros((P, P))
 
+    def product(A, B=None):
+        A = A.reshape(P, -1)
+        return A @ (A if B is None else B.reshape(P, -1)).T
+
     if a0:
-        out += a0 * np.einsum("pnd,qnd,n->pq", H, H, vol)
+        out += a0 * product(root_vol * H)
     if a1 or b1 or c1 or d1:
-        dh = np.stack(
-            [H[:, F[:, 1]] - H[:, F[:, 0]], H[:, F[:, 2]] - H[:, F[:, 0]]], axis=3
-        )  # (P, M, 3, 2)
-        prod = np.einsum("mia,pmib->pmab", fr.dq, dh)
+        dh = _field_differential(geom.mesh.faces, H)  # (P, M, 3, 2)
+        prod = fr.dq.swapaxes(1, 2) @ dh  # dq^T dh, (P, M, 2, 2)
         if a1 or b1:
-            dg = prod + prod.transpose(0, 1, 3, 2)
-            GX = np.einsum("mab,pmbc->pmac", G, dg)
+            GX = root_area * (G @ (prod + prod.swapaxes(2, 3)))
             if a1:
-                out += a1 * np.einsum("pmab,qmba,m->pq", GX, GX, area)
+                out += a1 * product(GX, GX.swapaxes(2, 3))
             if b1:
-                tr = np.einsum("pmaa->pm", GX)
-                out += b1 * np.einsum("pm,qm,m->pq", tr, tr, area)
+                out += b1 * product(np.einsum("pmaa->pm", GX))
+            del GX
         if c1:
-            e1 = fr.dq[:, :, 0]
-            e2 = fr.dq[:, :, 1]
-            w = np.cross(dh[:, :, :, 0], e2[None]) + np.cross(e1[None], dh[:, :, :, 1])
-            ndot = np.einsum("mi,pmi->pm", fr.n, w)
-            dn = (w - ndot[:, :, None] * fr.n[None]) / (2.0 * area)[None, :, None]
-            out += c1 * np.einsum("pmi,qmi,m->pq", dn, dn, area)
+            out += c1 * product(root_area[:, 0] * _normal_variation(fr, dh))
         if d1:
-            xi = prod - prod.transpose(0, 1, 3, 2)
-            GxiG = np.einsum("mab,pmbc,mcd->pmad", G, xi, G)
-            out += d1 * np.einsum("pmad,qmad,m->pq", GxiG, xi, area)
+            xi = root_area * (prod - prod.swapaxes(2, 3))
+            out += d1 * product(G @ xi @ G, xi)
     if a2:
-        lap = np.stack([geom.lap @ H[p] for p in range(P)])
-        out += a2 * np.einsum("pnd,qnd,n->pq", lap, lap, vol)
+        lap = geom.lap @ H.transpose(1, 0, 2).reshape(N, 3 * P)
+        out += a2 * product((root_vol[:, None] * lap.reshape(N, P, 3)).transpose(1, 0, 2))
 
     return 0.5 * (out + out.T)
 

@@ -156,19 +156,19 @@ def _check_field(mesh, h):
 
 
 def _field_differential(faces, h):
-    """Per-face 3x2 differential ``[h1 - h0, h2 - h0]``."""
-    h0, h1, h2 = h[faces[:, 0]], h[faces[:, 1]], h[faces[:, 2]]
-    return np.stack([h1 - h0, h2 - h0], axis=2)
+    """Per-face 3x2 differential ``[h1 - h0, h2 - h0]`` of ``(..., N, 3)`` fields."""
+    h0, h1, h2 = h[..., faces[:, 0], :], h[..., faces[:, 1], :], h[..., faces[:, 2], :]
+    return np.stack([h1 - h0, h2 - h0], axis=-1)
 
 
 def _normal_variation(frames, dh):
-    """Analytic variation of the unit normal along the field with differential dh."""
+    """Analytic variation of the unit normal along fields with differentials dh."""
     e1 = frames.dq[:, :, 0]
     e2 = frames.dq[:, :, 1]
-    w = np.cross(dh[:, :, 0], e2) + np.cross(e1, dh[:, :, 1])
+    w = np.cross(dh[..., 0], e2) + np.cross(e1, dh[..., 1])
     n = frames.n
     s = 2.0 * frames.area
-    return (w - n * np.einsum("ij,ij->i", n, w)[:, None]) / s[:, None]
+    return (w - n * np.einsum("ij,...ij->...i", n, w)[..., None]) / s[:, None]
 
 
 def metric_terms(mesh, h, geometry=None):

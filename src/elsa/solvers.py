@@ -17,7 +17,7 @@ Gauss-Newton on the squared residual.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,11 +63,14 @@ class SolveReport:
     grad_norm: float
     iterations: list
     reason: str  # converged | max_iters | line_search_failure
+    reasons: list  # stop reason of each stage, aligned with ``iterations``
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.isfinite(self.value):
             raise ValueError("solve report with non-finite objective value")
+        if len(self.reasons) != len(self.iterations):
+            raise ValueError("solve report needs one stop reason per stage")
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,8 @@ def _zoom(phi, lo, f_lo, der_lo, g_lo, hi, f_hi, f0, derphi0, cfg):
     c1, c2 = cfg.wolfe_c1, cfg.wolfe_c2
     for _ in range(cfg.max_step_halvings):
         span = hi - lo
+        if abs(der_lo * span) <= np.finfo(float).eps * abs(f0):
+            break  # no step in the bracket changes f by more than its rounding
         a = None
         if np.isfinite(f_hi):
             # quadratic model through (f_lo, der_lo, f_hi)
@@ -222,7 +227,8 @@ def minimize(fun, x0, config=None, callback=None):
         Accepted iterates have monotone nonincreasing objective values; the
         run stops when the max-norm of the gradient drops below the
         tolerance, the iteration budget is exhausted, or the line search
-        cannot make progress (the last good iterate is returned).
+        cannot make progress, even along ``-g`` with the memory cleared (the
+        last good iterate is returned).
     """
     cfg = config if config is not None else OptimizerConfig()
     x = np.array(x0, dtype=np.float64).ravel()
@@ -244,6 +250,11 @@ def minimize(fun, x0, config=None, callback=None):
             mem.clear()
             d = -g
         hit = _line_search(fun, x, f, g, d, cfg)
+        if hit is None and mem:
+            # a stale memory direction can miss a decrease that -g still finds
+            mem.clear()
+            d = -g
+            hit = _line_search(fun, x, f, g, d, cfg)
         if hit is None:
             reason = "line_search_failure"
             break
@@ -267,6 +278,7 @@ def minimize(fun, x0, config=None, callback=None):
         grad_norm=float(np.max(np.abs(g))) if g.size else 0.0,
         iterations=[n_iter],
         reason=reason,
+        reasons=[reason],
     )
     return x, report
 
@@ -288,19 +300,31 @@ def _guard(fun):
 # ---------------------------------------------------------------------------
 
 
+def _minimize_stages(objective, x, schedule, config):
+    """Minimize each stage's objective from the last stage's result; report all stages."""
+    iterations, reasons = [], []
+    for sigma, lam in schedule.stages:
+        x, report = minimize(objective(VarifoldConfig(sigma), lam), x, config)
+        iterations += report.iterations
+        reasons += report.reasons
+    return x, replace(report, iterations=iterations, reasons=reasons)
+
+
 def retrieve_latent(basis, target, coefficients, schedule=None, time_steps=10, config=None):
     """Latent code retrieval by relaxed varifold matching from the template.
 
     Minimizes ``Gamma(decode(alpha(1)), target) + path_energy / lambda`` over
     the path knots ``alpha(1/T) ... alpha(1)`` with ``alpha(0) = 0`` pinned
     to the template.  Stages of the multiscale schedule warm-start from the
-    previous solution.
+    previous solution; the interior knots are then refined into the geodesic
+    (:func:`geodesic_bvp`) between the template and the final code.
 
     Returns
     -------
     (ndarray, SolveReport)
-        The full ``(T+1, P)`` path (first row zero) and a report whose
-        details carry the final varifold discrepancy and path energy.
+        The full ``(T+1, P)`` path (first row zero) and a report of the
+        stages whose details carry the final varifold discrepancy, the path
+        energy, and the refinement's iteration count and gradient max-norm.
     """
     schedule = schedule if schedule is not None else MultiscaleSchedule.bodies()
     T = int(time_steps)
@@ -321,32 +345,29 @@ def retrieve_latent(basis, target, coefficients, schedule=None, time_steps=10, c
 
         return _guard(fun)
 
-    x = np.zeros(T * P)
-    iterations = []
-    report = None
-    for sigma, lam in schedule.stages:
-        x, report = minimize(objective(VarifoldConfig(sigma), lam), x, config)
-        iterations.extend(report.iterations)
+    x, report = _minimize_stages(objective, np.zeros(T * P), schedule, config)
     path = np.vstack([np.zeros(P), x.reshape(T, P)])
+    # The interior knots weigh only 1/lambda in the staged objectives, so the
+    # gradient test leaves them loose: make them the geodesic to the end code.
+    path, refined = geodesic_bvp(basis, path[0], path[-1], T, coefficients, config, path)
     end = decode(basis, path[-1])
     sigma_final = schedule.stages[-1][0]
     gamma = varifold_sqdist(end, target, VarifoldConfig(sigma_final))
-    energy, _ = latent_path_energy_with_grad(basis, path, coefficients)
-    report = SolveReport(
-        value=report.value,
-        grad_norm=report.grad_norm,
-        iterations=iterations,
-        reason=report.reason,
-        details={"varifold_sqdist": gamma, "path_energy": energy, "sigma": sigma_final},
-    )
-    return path, report
+    return path, replace(report, details={
+        "varifold_sqdist": gamma,
+        "path_energy": refined.value,
+        "sigma": sigma_final,
+        "geodesic_iterations": refined.iterations[0],
+        "geodesic_grad_norm": refined.grad_norm,
+    })
 
 
-def geodesic_bvp(basis, alpha0, alpha1, time_steps, coefficients, config=None):
+def geodesic_bvp(basis, alpha0, alpha1, time_steps, coefficients, config=None, init_path=None):
     """Geodesic boundary value problem between two latent codes.
 
     Minimizes the latent path energy over the interior knots with both
-    endpoints fixed, starting from the linear interpolation.
+    endpoints fixed, starting from the interior knots of ``init_path``
+    (default: the linear interpolation).
     """
     alpha0 = basis.check_code(alpha0)
     alpha1 = basis.check_code(alpha1)
@@ -354,11 +375,12 @@ def geodesic_bvp(basis, alpha0, alpha1, time_steps, coefficients, config=None):
     if T < 1:
         raise ValueError("time_steps must be >= 1")
     ts = np.linspace(0.0, 1.0, T + 1)[:, None]
-    init = (1.0 - ts) * alpha0 + ts * alpha1
+    init = (1.0 - ts) * alpha0 + ts * alpha1 if init_path is None else np.asarray(init_path, float)
 
     if T == 1:
         energy, _ = latent_path_energy_with_grad(basis, init, coefficients)
-        return init, SolveReport(value=energy, grad_norm=0.0, iterations=[0], reason="converged")
+        return init, SolveReport(value=energy, grad_norm=0.0, iterations=[0], reason="converged",
+                                 reasons=["converged"])
 
     def fun(x):
         path = np.vstack([alpha0, x.reshape(T - 1, basis.dim), alpha1])
@@ -400,28 +422,16 @@ def relaxed_geodesic(basis, q0, q1, time_steps, coefficients, schedule=None, con
         return _guard(fun)
 
     x = (np.zeros((T + 1, P)) if init_path is None else np.asarray(init_path, float)).ravel()
-    iterations = []
-    report = None
-    for sigma, lam in schedule.stages:
-        x, report = minimize(objective(VarifoldConfig(sigma), lam), x, config)
-        iterations.extend(report.iterations)
+    x, report = _minimize_stages(objective, x, schedule, config)
     path = x.reshape(T + 1, P)
     vcfg = VarifoldConfig(schedule.stages[-1][0])
     energy, _ = latent_path_energy_with_grad(basis, path, coefficients)
-    details = {
+    return path, replace(report, details={
         "gamma0": varifold_sqdist(decode(basis, path[0]), q0, vcfg),
         "gamma1": varifold_sqdist(decode(basis, path[-1]), q1, vcfg),
         "path_energy": energy,
         "sigma": vcfg.sigma,
-    }
-    report = SolveReport(
-        value=report.value,
-        grad_norm=report.grad_norm,
-        iterations=iterations,
-        reason=report.reason,
-        details=details,
-    )
-    return path, report
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elsa import MetricCoefficients, decode, load_mesh, save_basis, save_mesh
+from elsa import MetricCoefficients, OptimizerConfig, decode, load_mesh, save_basis, save_mesh
 from elsa.cli import main
 from elsa.config import RunConfig, load_config, save_config
 from elsa.generation import fit_gmm, save_gmm
@@ -44,6 +44,8 @@ def workspace(tmp_path):
     target = decode(basis, alpha)
     target_path = tmp_path / "target.obj"
     save_mesh(target, target_path)
+    source_path = tmp_path / "source.obj"
+    save_mesh(decode(basis, 0.1 * rng.standard_normal(basis.dim)), source_path)
     return {
         "tmp": tmp_path,
         "cfg": cfg,
@@ -52,6 +54,7 @@ def workspace(tmp_path):
         "basis_path": basis_path,
         "alpha": alpha,
         "target_path": target_path,
+        "source_path": source_path,
         "template": template,
     }
 
@@ -94,6 +97,7 @@ def test_register_round_trip(workspace):
     assert (out / "effective_config.ini").exists()
     log = json.loads((out / "run_log.json").read_text())
     assert log["command"] == "register"
+    assert len(log["report"]["reasons"]) == len(log["report"]["iterations"]) == 3
     assert log["report"]["details"]["varifold_sqdist"] < 1e-6
 
 
@@ -125,6 +129,23 @@ def test_interpolate_outputs(workspace):
     assert rows[0] == "segment,energy"
     total = float(dict(r.split(",") for r in rows[1:])["total"])
     assert total < 1e-6
+
+    # distinct endpoints: the segment rows add up to the total path energy
+    cfg = ws["cfg"]
+    cfg.optimizer = OptimizerConfig(max_iterations=20)
+    short_cfg = ws["tmp"] / "short.ini"
+    save_config(cfg, short_cfg)
+    out = ws["tmp"] / "interp_distinct"
+    code = _run(
+        "interpolate", "--config", short_cfg, "--output-dir", out,
+        ws["source_path"], ws["target_path"],
+    )
+    assert code == 0
+    rows = dict(r.split(",") for r in (out / "interpolation.csv").read_text().split()[1:])
+    segments = [float(rows[str(t)]) for t in range(cfg.time_steps)]
+    total = float(rows["total"])
+    assert total > 1e-6
+    assert sum(segments) == pytest.approx(total, rel=1e-12)
 
 
 def test_extrapolate_zero_velocity(workspace):

@@ -9,6 +9,7 @@ from elsa import (
     gram,
     gram_directional_derivative,
     h2_inner,
+    h2_inner_terms,
     latent_path_energy,
     load_basis,
     save_basis,
@@ -140,6 +141,21 @@ def test_gram_quadratic_form_matches_combined_fields():
         BODY,
     )
     assert float(beta @ g @ eta) == pytest.approx(combined, rel=1e-10)
+
+
+@pytest.mark.parametrize("term", ["a0", "a1", "b1", "c1", "d1", "a2"])
+def test_gram_single_term_matches_h2_inner_terms(term):
+    # one non-zero weight at a time isolates each term's feature map
+    index = ["a0", "a1", "b1", "c1", "d1", "a2"].index(term)
+    basis = syn.random_basis(syn.icosphere(2), 4, 4, seed=11)
+    alpha = 0.2 * np.random.default_rng(12).standard_normal(basis.dim)
+    g = gram(basis, alpha, MetricCoefficients(*np.eye(6)[index]))
+    mesh = decode(basis, alpha)
+    ref = np.array(
+        [[h2_inner_terms(mesh, hi, hj)[index] for hj in basis.fields] for hi in basis.fields]
+    )
+    assert np.max(np.abs(ref)) > 0
+    assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_gram_symmetric_positive_definite():

@@ -5,6 +5,7 @@ from elsa import (
     MetricCoefficients,
     MultiscaleSchedule,
     OptimizerConfig,
+    SolveReport,
     SolverFailure,
     VarifoldConfig,
     decode,
@@ -20,6 +21,8 @@ from elsa import (
     varifold_norm_sq,
     varifold_sqdist,
 )
+from elsa import solvers
+from elsa.latent import latent_path_energy_with_grad
 from elsa.mesh import MeshError
 
 import synthetic as syn
@@ -94,6 +97,38 @@ def test_monotone_accepted_iterates():
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
+def test_failed_memory_direction_retried_along_steepest_descent(monkeypatch):
+    amat = np.diag([1.0, 10.0, 100.0])
+    real = solvers._line_search
+    steepest = []
+
+    def memory_direction_fails_once(fun, x, f0, g0, d, cfg):
+        steepest.append(bool(np.array_equal(d, -g0)))
+        if steepest.count(False) == 1 and not steepest[-1]:
+            return None
+        return real(fun, x, f0, g0, d, cfg)
+
+    monkeypatch.setattr(solvers, "_line_search", memory_direction_fails_once)
+    x, report = minimize(lambda x: (0.5 * float(x @ amat @ x), amat @ x), np.ones(3), TIGHT)
+    first_failure = steepest.index(False)
+    assert steepest[first_failure + 1]
+    assert report.reason == "converged"
+    assert np.max(np.abs(x)) < 1e-9
+
+
+def test_line_search_gives_up_below_the_rounding_of_f():
+    # every step changes f = 1 + 1e-20 |x|^2 by far less than an ulp of 1
+    evaluations = []
+
+    def fun(x):
+        evaluations.append(x)
+        return 1.0 + 1e-20 * float(x @ x), 2e-20 * x
+
+    _, report = minimize(fun, np.ones(2), OptimizerConfig(gradient_tolerance=1e-30))
+    assert report.reason == "line_search_failure"
+    assert len(evaluations) <= 3
+
+
 def test_nonfinite_start_raises():
     def fun(x):
         return np.inf, None
@@ -149,6 +184,9 @@ def test_retrieve_round_trip():
     path, report = retrieve_latent(basis, target, BODY, FAST_SCHEDULE, time_steps=3)
     norm = varifold_norm_sq(target, VarifoldConfig(FAST_SCHEDULE.stages[-1][0]))
     assert report.details["varifold_sqdist"] < 1e-6 * norm
+    # the interior knots are the geodesic to the retrieved code
+    energy, grad = latent_path_energy_with_grad(basis, path, BODY)
+    assert np.max(np.abs(grad[1:-1])) < 1e-6 * energy
 
 
 def test_retrieve_permutation_invariant_objective():
@@ -162,6 +200,25 @@ def test_retrieve_permutation_invariant_objective():
     assert np.max(np.abs(path_a - path_b)) < 1e-6 * max(1.0, np.max(np.abs(path_a)))
     norm = varifold_norm_sq(target, VarifoldConfig(FAST_SCHEDULE.stages[-1][0]))
     assert rep_b.details["varifold_sqdist"] < 1e-6 * norm
+
+
+def test_multistage_solves_report_every_stage_reason():
+    basis = syn.random_basis(syn.icosphere(1), 2, 3, seed=4)
+    target = decode(basis, 0.1 * np.random.default_rng(5).standard_normal(basis.dim))
+    schedule = MultiscaleSchedule(stages=((0.3, 1e3), (0.1, 1e6)))
+    budget = OptimizerConfig(max_iterations=2)
+    _, retrieved = retrieve_latent(basis, target, BODY, schedule, time_steps=2, config=budget)
+    _, relaxed = relaxed_geodesic(basis, target, target, 2, BODY, schedule, budget)
+    for report in (retrieved, relaxed):
+        assert report.iterations == [2, 2]
+        assert report.reasons == ["max_iters", "max_iters"]
+        assert report.reason == report.reasons[-1]
+
+
+def test_solve_report_needs_one_reason_per_stage():
+    with pytest.raises(ValueError):
+        SolveReport(value=0.0, grad_norm=0.0, iterations=[1, 2], reason="converged",
+                    reasons=["converged"])
 
 
 # ---------------------------------------------------------------------------
