@@ -207,13 +207,13 @@ def latent_path_energy(basis, path, coefficients):
     return T * total
 
 
-def latent_path_energy_with_grad(basis, path, coefficients):
+def latent_path_energy_with_grad(basis, path, coefficients, fixed_start=False):
     """Path energy and its gradient with respect to every knot.
 
     The gradient at a knot combines the quadratic terms of its two adjacent
-    steps with the foot-point derivative of the Gram matrix, obtained by
-    differentiating the metric with respect to the decoded vertices and
-    chaining through the (constant) decoder fields.
+    steps with the foot-point derivative of the Gram matrix (the metric
+    differentiated in the decoded vertices, chained through the decoder
+    fields).  ``fixed_start`` holds the first knot: its row is left zero.
     """
     path = _check_path(basis, path)
     T = path.shape[0] - 1
@@ -228,9 +228,12 @@ def latent_path_energy_with_grad(basis, path, coefficients):
         gd = 2.0 * (gm @ d)
         grad[t] -= gd
         grad[t + 1] += gd
-        u = np.tensordot(d, basis.fields, axes=1)
-        foot = h2_vertex_gradient(geom, u, u, coefficients)
-        grad[t] += fields_mat @ foot.ravel()
+        if t or not fixed_start:
+            u = np.tensordot(d, basis.fields, axes=1)
+            foot = h2_vertex_gradient(geom, u, u, coefficients)
+            grad[t] += fields_mat @ foot.ravel()
+    if fixed_start:
+        grad[0] = 0.0
     return T * total, T * grad
 
 

@@ -336,7 +336,7 @@ def retrieve_latent(basis, target, coefficients, schedule=None, time_steps=10, c
     def objective(vcfg, lam):
         def fun(x):
             path = np.vstack([np.zeros(P), x.reshape(T, P)])
-            energy, grad_e = latent_path_energy_with_grad(basis, path, coefficients)
+            energy, grad_e = latent_path_energy_with_grad(basis, path, coefficients, fixed_start=True)
             end = decode(basis, path[-1])
             gamma = varifold_sqdist(end, target, vcfg)
             grad = grad_e / lam
@@ -384,7 +384,7 @@ def geodesic_bvp(basis, alpha0, alpha1, time_steps, coefficients, config=None, i
 
     def fun(x):
         path = np.vstack([alpha0, x.reshape(T - 1, basis.dim), alpha1])
-        energy, grad = latent_path_energy_with_grad(basis, path, coefficients)
+        energy, grad = latent_path_energy_with_grad(basis, path, coefficients, fixed_start=True)
         return energy, grad[1:T].ravel()
 
     x, report = minimize(_guard(fun), init[1:T].ravel(), config)

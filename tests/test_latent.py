@@ -240,6 +240,16 @@ def test_path_energy_gradient_matches_finite_differences():
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+def test_path_energy_gradient_with_fixed_start():
+    basis = _basis(16, n_shape=2, n_pose=2)
+    path = 0.15 * np.random.default_rng(23).standard_normal((4, basis.dim))
+    energy, grad = latent_path_energy_with_grad(basis, path, BODY)
+    energy_fixed, grad_fixed = latent_path_energy_with_grad(basis, path, BODY, fixed_start=True)
+    assert energy_fixed == energy
+    assert np.array_equal(grad_fixed[1:], grad[1:])
+    assert not grad_fixed[0].any()
+
+
 def test_relabeling_basis_invariance():
     basis = _basis(18)
     rng = np.random.default_rng(19)
