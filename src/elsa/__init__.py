@@ -29,7 +29,6 @@ from .latent import (
     LatentBasis,
     decode,
     gram,
-    gram_directional_derivative,
     latent_path_energy,
     load_basis,
     save_basis,

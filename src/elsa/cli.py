@@ -6,7 +6,8 @@ build-basis, distance, evaluate.  Every command reads one INI config
 effective configuration into the output directory, and is deterministic
 given config and seed (no timestamps in any output).
 
-Exit codes: 0 success, 1 numerical failure, 2 usage or file error.
+Exit codes: 0 success, 1 numerical failure (a failed solve or shot, a
+degenerate mesh), 2 usage, input or file error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .evaluation import evaluate_pair
 from .generation import fit_gmm, generate_shape, load_gmm, save_gmm
 from .latent import decode, latent_path_energy, load_basis, save_basis, substitute_shape_block
 from .mesh import (
+    DegenerateFaceError,
     MeshError,
     MeshParseError,
     load_mesh,
@@ -205,7 +207,7 @@ def cmd_extrapolate(args):
     else:
         raise ValueError("extrapolate needs either --code and --velocity or two meshes")
     try:
-        path = geodesic_ivp(basis, alpha0, beta, cfg.ivp_steps, cfg.coefficients, cfg.optimizer)
+        path = geodesic_ivp(basis, alpha0, beta, cfg.ivp_steps, cfg.coefficients)
     except SolverFailure as exc:
         print(f"extrapolation failed: {exc}", file=sys.stderr)
         return 1
@@ -307,9 +309,7 @@ def cmd_generate(args):
         raise ValueError("generate needs --model or --velocities")
     seeds = [cfg.seed + i for i in range(args.count)]
     for i, seed in enumerate(seeds):
-        mesh = generate_shape(
-            basis, shape_gmm, pose_gmm, cfg.ivp_steps, cfg.coefficients, cfg.optimizer, seed
-        )
+        mesh = generate_shape(basis, shape_gmm, pose_gmm, cfg.ivp_steps, cfg.coefficients, seed)
         save_mesh(mesh, out / f"gen_{i:03d}.obj")
     _finish(cfg, out, "generate", {
         "count": args.count,
@@ -374,12 +374,13 @@ def main(argv=None):
     except (MeshParseError, FileNotFoundError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # before ValueError, which both DegenerateFaceError and LinAlgError subclass
+    except (SolverFailure, DegenerateFaceError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailure, MeshError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -181,11 +181,11 @@ def sample_code(shape_gmm, pose_gmm, seed):
     return np.concatenate([_draw(shape_gmm, rng), _draw(pose_gmm, rng)])
 
 
-def generate_shape(basis, shape_gmm, pose_gmm, steps, coefficients, config=None, seed=0):
+def generate_shape(basis, shape_gmm, pose_gmm, steps, coefficients, seed=0):
     """Draw a random velocity and shoot a geodesic from the template.
 
-    A failed shot is retried with the velocity halved, up to three times,
-    before the failure propagates.
+    A failed shot (a residual above tolerance or a degenerate knot) raises
+    :class:`SolverFailure` naming the seed.
     """
     if shape_gmm.dim != basis.n_shape or pose_gmm.dim != basis.n_pose:
         raise ValueError(
@@ -193,15 +193,11 @@ def generate_shape(basis, shape_gmm, pose_gmm, steps, coefficients, config=None,
             f"basis blocks ({basis.n_shape}, {basis.n_pose})"
         )
     beta = sample_code(shape_gmm, pose_gmm, seed)
-    last = None
-    for _ in range(4):
-        try:
-            path = geodesic_ivp(basis, np.zeros(basis.dim), beta, steps, coefficients, config)
-            return decode(basis, path[-1])
-        except (SolverFailure, MeshError) as exc:
-            last = exc
-            beta = beta / 2.0
-    raise SolverFailure(f"shape generation failed after halving retries: {last}")
+    try:
+        path = geodesic_ivp(basis, np.zeros(basis.dim), beta, steps, coefficients)
+    except (SolverFailure, MeshError) as exc:
+        raise SolverFailure(f"shape generation with seed {seed} failed: {exc}") from exc
+    return decode(basis, path[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -166,23 +166,6 @@ def _gram_from_geometry(basis, geom, coefficients):
     return 0.5 * (out + out.T)
 
 
-def gram_directional_derivative(basis, alpha, beta, coefficients, eps=None):
-    """Central finite difference of the Gram matrix along a code direction.
-
-    The default step is ``1e-5 * (1 + |alpha|)``; a zero direction returns
-    an exactly zero matrix.
-    """
-    alpha = basis.check_code(alpha)
-    beta = np.asarray(beta, dtype=np.float64)
-    if not np.any(beta):
-        return np.zeros((basis.dim, basis.dim))
-    if eps is None:
-        eps = 1e-5 * (1.0 + float(np.linalg.norm(alpha)))
-    plus = gram(basis, alpha + eps * beta, coefficients)
-    minus = gram(basis, alpha - eps * beta, coefficients)
-    return (plus - minus) / (2.0 * eps)
-
-
 def _check_path(basis, path):
     path = np.asarray(path, dtype=np.float64)
     if path.ndim != 2 or path.shape[1] != basis.dim:

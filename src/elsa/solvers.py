@@ -11,7 +11,8 @@ number of times) before giving up.
 The shooting solver (:func:`geodesic_ivp`) advances a discrete geodesic by
 requiring each knot to be the geodesic midpoint of its neighbors: every step
 solves the stationarity system of the two-step energy for the next knot by
-Gauss-Newton on the squared residual.
+Gauss-Newton on the squared residual, differentiating the metric with the
+same exact foot-point gradient as the path energy.
 """
 
 from __future__ import annotations
@@ -21,13 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._diff import step_energy_discrete_with_grads
-from .latent import (
-    decode,
-    gram,
-    gram_directional_derivative,
-    latent_path_energy_with_grad,
-)
+from ._diff import h2_vertex_gradient, step_energy_discrete_with_grads
+from .latent import decode, gram, latent_path_energy_with_grad
 from .mesh import MeshError, TriangleMesh
 from .metric import _geometry
 from .varifold import VarifoldConfig, varifold_grad, varifold_sqdist
@@ -439,61 +435,83 @@ def relaxed_geodesic(basis, q0, q1, time_steps, coefficients, schedule=None, con
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_residual_solve(g_prev, g_cur, d_tensor, beta0, x0_offset, tol, max_iter=200):
-    """Solve the midpoint stationarity system for the next code offset.
+def _shooting_system(basis, geom, g_cur, rhs, coefficients):
+    """Residual and Jacobian of one shooting step in ``b = alpha_next - alpha_cur``.
 
-    The residual in the offset ``bt = alpha_next - alpha_cur`` is
-
-        Phi(bt) = 2 G_prev beta0 - 2 G_cur bt + D(bt, bt)
-
-    with ``D`` the directional derivatives of the Gram matrix at the current
-    knot; Gauss-Newton with backtracking drives ``|Phi|`` below ``tol``.
+    ``Phi(b) = rhs - 2 G_cur b + D(b, b)`` with ``rhs = 2 G_prev beta0`` is the
+    middle-knot gradient of the two-step path energy divided by ``T``; ``D(b, b)`` is
+    the foot-point gradient at ``u = b . fields`` on the current knot's geometry
+    ``geom``; Jacobian column ``j`` is its polarized call with field ``j``.
     """
-    b = 2.0 * (g_prev @ beta0)
+    fields = basis.fields
 
-    def residual(bt):
-        return b - 2.0 * (g_cur @ bt) + np.einsum("ijk,j,k->i", d_tensor, bt, bt)
+    def foot(u, v):
+        return basis.fields_matrix @ h2_vertex_gradient(geom, u, v, coefficients).ravel()
 
-    bt = x0_offset.copy()
-    r = residual(bt)
+    def residual(b):
+        u = np.tensordot(b, fields, axes=1)
+        return rhs - 2.0 * (g_cur @ b) + foot(u, u)
+
+    def jacobian(b):
+        u = np.tensordot(b, fields, axes=1)
+        return 2.0 * (np.stack([foot(u, f) for f in fields], axis=1) - g_cur)
+
+    return residual, jacobian
+
+
+def _midpoint_residual_solve(residual, jacobian, b, g_cur, tol, max_iter=200):
+    """Drive ``|residual(b)|`` below ``tol`` from ``b``; return ``(b, |residual|)``.
+
+    Levenberg-Marquardt-damped Gauss-Newton with backtracking.  A Jacobian is
+    reused while its full steps halve the residual (accepting any decrease can
+    walk to another root of the quadratic system), else rebuilt at the current
+    offset; a failure on a fresh Jacobian raises the damping.
+    """
+    r = residual(b)
     rn = float(np.linalg.norm(r))
     mu = 0.0
-    eye = np.eye(bt.size)
+    eye = np.eye(b.size)
+    jac = None
     for _ in range(max_iter):
         if rn <= tol:
             break
-        jac = -2.0 * g_cur + 2.0 * np.einsum("ijk,k->ij", d_tensor, bt)
+        if jac is None:
+            jac = jacobian(b)
+            fresh = True
         try:
             dx = np.linalg.solve(jac.T @ jac + mu * eye, -(jac.T @ r))
         except np.linalg.LinAlgError:
             dx = np.linalg.lstsq(jac, -r, rcond=None)[0]
         step = 1.0
         improved = False
-        for _ in range(40):
-            cand = bt + step * dx
+        for _ in range(40 if fresh else 1):
+            cand = b + step * dx
             rc = residual(cand)
             rcn = float(np.linalg.norm(rc))
-            if rcn < rn:
-                bt, r, rn = cand, rc, rcn
+            if rcn < (1.0 if fresh else 0.5) * rn:
+                b, r, rn = cand, rc, rcn
                 improved = True
                 break
             step *= 0.5
         if improved:
             mu = max(mu * 0.25, 0.0)
+            fresh = False
+        elif not fresh:
+            jac = None
         else:
             mu = max(4.0 * mu, 1e-8 * float(np.trace(g_cur @ g_cur)) ** 0.5, 1e-12)
             if mu > 1e12:
                 break
-    return bt, rn
+    return b, rn
 
 
-def geodesic_ivp(basis, alpha0, beta, steps, coefficients, config=None,
-                 residual_tolerance=None):
+def geodesic_ivp(basis, alpha0, beta, steps, coefficients, residual_tolerance=None):
     """Shoot a discrete geodesic from a code along an initial velocity.
 
     The first knot past the start is ``alpha0 + beta/N``; each subsequent
-    knot makes its predecessor the geodesic midpoint of its two neighbors,
-    enforced by solving the stationarity residual with Gauss-Newton.
+    knot makes its predecessor the geodesic midpoint of its two neighbors:
+    the middle-knot gradient of the two-step path energy must vanish (the
+    discrete exponential map), solved with exact derivatives of the metric.
 
     Returns the ``(N+1, P)`` path.  Raises :class:`SolverFailure` with the
     step index if a residual cannot be driven below tolerance, and
@@ -507,21 +525,20 @@ def geodesic_ivp(basis, alpha0, beta, steps, coefficients, config=None,
     P = basis.dim
     tol = residual_tolerance if residual_tolerance is not None else 1e-8 * P
 
+    def knot(alpha):
+        geom = _geometry(decode(basis, alpha))
+        return geom, gram(basis, alpha, coefficients, geometry=geom)
+
     path = np.empty((N + 1, P))
     path[0] = alpha0
     path[1] = alpha0 + beta / N
     g_prev = gram(basis, path[0], coefficients)
-    g_cur = gram(basis, path[1], coefficients)
-    eye = np.eye(P)
+    geom, g_cur = knot(path[1])
     for k in range(1, N):
-        d_tensor = np.stack(
-            [
-                gram_directional_derivative(basis, path[k], eye[i], coefficients)
-                for i in range(P)
-            ]
-        )
         beta0 = path[k] - path[k - 1]
-        bt, rn = _midpoint_residual_solve(g_prev, g_cur, d_tensor, beta0, beta0, tol)
+        residual, jacobian = _shooting_system(basis, geom, g_cur, 2.0 * (g_prev @ beta0),
+                                              coefficients)
+        bt, rn = _midpoint_residual_solve(residual, jacobian, beta0, g_cur, tol)
         if rn > tol:
             raise SolverFailure(
                 f"shooting residual {rn:.3e} above tolerance {tol:.3e} at step {k}"
@@ -529,7 +546,7 @@ def geodesic_ivp(basis, alpha0, beta, steps, coefficients, config=None,
         path[k + 1] = path[k] + bt
         if k < N - 1:
             g_prev = g_cur
-            g_cur = gram(basis, path[k + 1], coefficients)
+            geom, g_cur = knot(path[k + 1])
     return path
 
 

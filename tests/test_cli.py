@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elsa import MetricCoefficients, OptimizerConfig, decode, load_mesh, save_basis, save_mesh
+from elsa import (
+    LatentBasis,
+    MetricCoefficients,
+    OptimizerConfig,
+    decode,
+    load_mesh,
+    save_basis,
+    save_mesh,
+)
 from elsa.cli import main
 from elsa.config import RunConfig, load_config, save_config
 from elsa.generation import fit_gmm, save_gmm
@@ -196,6 +204,26 @@ def test_extrapolate_translation_velocity(tmp_path):
 def test_extrapolate_needs_inputs(workspace):
     ws = workspace
     assert _run("extrapolate", "--config", ws["cfg_path"]) == 2
+
+
+def test_extrapolate_collapsed_knot_exit_1(tmp_path, capsys):
+    # the only field pulls every vertex to the origin: the first knot collapses
+    template = syn.icosphere(1)
+    basis_path = tmp_path / "collapse.lsb"
+    save_basis(LatentBasis(template, -template.vertices[None], 1, 0), basis_path)
+    cfg = RunConfig()
+    cfg.basis_path = str(basis_path)
+    cfg.ivp_steps = 4
+    cfg.normalize = False
+    cfg.output_dir = str(tmp_path / "out")
+    cfg_path = tmp_path / "c.ini"
+    save_config(cfg, cfg_path)
+    np.savetxt(tmp_path / "code.txt", [0.0])
+    np.savetxt(tmp_path / "vel.txt", [4.0])
+    code = _run("extrapolate", "--config", cfg_path, "--code", tmp_path / "code.txt",
+                "--velocity", tmp_path / "vel.txt")
+    assert code == 1
+    assert "zero-area face" in capsys.readouterr().err
 
 
 def test_transfer_preserves_pose_blocks(workspace):

@@ -3,6 +3,7 @@ import pytest
 
 from elsa import (
     GmmModel,
+    LatentBasis,
     MetricCoefficients,
     fit_gmm,
     generate_shape,
@@ -201,3 +202,13 @@ def test_gmm_bad_file(tmp_path):
     path.write_bytes(b"NOPE")
     with pytest.raises(ValueError):
         load_gmm(path)
+
+
+def test_failed_shot_names_the_seed():
+    # the only field pulls every vertex to the origin: the first knot collapses,
+    # and no smaller velocity is tried in its place
+    template = syn.icosphere(1)
+    shift = np.broadcast_to([1.0, 0.0, 0.0], template.vertices.shape)
+    basis = LatentBasis(template, np.stack([-template.vertices, shift]), 1, 1)
+    with pytest.raises(SolverFailure, match="seed 7"):
+        generate_shape(basis, _point_model([4.0]), _point_model([0.0]), 4, BODY, seed=7)

@@ -7,7 +7,6 @@ from elsa import (
     decode,
     face_areas,
     gram,
-    gram_directional_derivative,
     h2_inner,
     h2_inner_terms,
     latent_path_energy,
@@ -264,38 +263,6 @@ def test_relabeling_basis_invariance():
     assert latent_path_energy(basis, path, BODY) == pytest.approx(
         latent_path_energy(permuted, path[:, perm], BODY), rel=1e-12
     )
-
-
-# ---------------------------------------------------------------------------
-# gram directional derivative
-# ---------------------------------------------------------------------------
-
-
-def test_gram_derivative_zero_for_translations():
-    basis = syn.translation_basis(syn.icosphere(1))
-    d = gram_directional_derivative(basis, np.zeros(3), np.ones(3), BODY)
-    assert np.max(np.abs(d)) < 1e-8
-
-
-def test_gram_derivative_zero_direction_exact():
-    basis = _basis(21)
-    d = gram_directional_derivative(basis, 0.1 * np.ones(basis.dim), np.zeros(basis.dim), BODY)
-    assert np.array_equal(d, np.zeros_like(d))
-
-
-def test_gram_derivative_step_halving_consistency():
-    basis = _basis(22)
-    rng = np.random.default_rng(23)
-    alpha = 0.1 * rng.standard_normal(basis.dim)
-    beta = rng.standard_normal(basis.dim)
-    eps = 1e-3
-    d1 = gram_directional_derivative(basis, alpha, beta, BODY, eps=eps)
-    d2 = gram_directional_derivative(basis, alpha, beta, BODY, eps=eps / 2)
-    d4 = gram_directional_derivative(basis, alpha, beta, BODY, eps=eps / 4)
-    # central differences converge at second order: errors shrink ~4x
-    e1 = np.max(np.abs(d1 - d4))
-    e2 = np.max(np.abs(d2 - d4))
-    assert e2 < 0.5 * e1
 
 
 # ---------------------------------------------------------------------------

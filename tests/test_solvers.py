@@ -24,6 +24,7 @@ from elsa import (
 from elsa import solvers
 from elsa.latent import latent_path_energy_with_grad
 from elsa.mesh import MeshError
+from elsa.metric import _geometry
 
 import synthetic as syn
 
@@ -347,6 +348,39 @@ def test_ivp_consistent_with_bvp():
     shot = geodesic_ivp(basis, a0, beta, n, BODY)
     err = np.linalg.norm(shot[-1] - a1) / max(np.linalg.norm(a1 - a0), 1e-12)
     assert err < 1e-2
+
+
+def test_shooting_jacobian_matches_central_differences():
+    basis = syn.random_basis(syn.icosphere(1), 2, 2, seed=23)
+    rng = np.random.default_rng(24)
+    alpha = 0.3 * rng.standard_normal(basis.dim)
+    geom = _geometry(decode(basis, alpha))
+    g_cur = gram(basis, alpha, BODY)
+    rhs = rng.standard_normal(basis.dim)
+    residual, jacobian = solvers._shooting_system(basis, geom, g_cur, rhs, BODY)
+    b = 0.5 * rng.standard_normal(basis.dim)
+    # the residual is quadratic in b: central differences are exact up to rounding
+    h = 1e-3
+    eye = np.eye(basis.dim)
+    fd = np.stack([(residual(b + h * e) - residual(b - h * e)) / (2 * h) for e in eye], axis=1)
+    jac = jacobian(b)
+    assert np.max(np.abs(jac - fd)) < 1e-9 * np.max(np.abs(jac))
+    # the derivative part alone: the polarized foot-point calls against D(b, b)
+    assert np.max(np.abs(jac + 2.0 * g_cur)) > 1e-3 * np.max(np.abs(jac))
+
+
+def test_ivp_knots_are_discrete_geodesic_knots():
+    # a long shot: accepting any decrease on a reused Jacobian fails on it
+    basis = syn.random_basis(syn.icosphere(1), 2, 2, seed=14, scale=0.1)
+    rng = np.random.default_rng(14)
+    alpha0 = 0.05 * rng.standard_normal(basis.dim)
+    beta = rng.standard_normal(basis.dim)
+    tol = 1e-8 * basis.dim
+    path = geodesic_ivp(basis, alpha0, 4.0 * beta / np.linalg.norm(beta), 5, BODY)
+    for k in range(1, len(path) - 1):
+        _, grad = latent_path_energy_with_grad(basis, path[k - 1:k + 2], BODY)
+        # the two-step energy's middle-knot gradient is T = 2 times the residual
+        assert np.linalg.norm(grad[1]) / 2 <= tol
 
 
 def test_ivp_residual_tolerance_enforced():
