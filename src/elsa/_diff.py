@@ -127,38 +127,26 @@ def h2_vertex_gradient(geom, u, v, coefficients):
     if a0:
         g_vol += a0 * _rowdot(u, v)
 
-    if a1 or b1:
-        X = np.einsum("mia,mib->mab", dq, du)
-        X = X + X.transpose(0, 2, 1)
-        Y = np.einsum("mia,mib->mab", dq, dv)
-        Y = Y + Y.transpose(0, 2, 1)
-        GX = np.einsum("mab,mbc->mac", G, X)
-        GY = np.einsum("mab,mbc->mac", G, Y)
-        GXG = np.einsum("mab,mbc->mac", GX, G)
-        GYG = np.einsum("mab,mbc->mac", GY, G)
-        if a1:
-            g_area += a1 * np.einsum("mab,mba->m", GX, GY)
-            Aw = (a1 * 2.0 * area)[:, None, None]
-            g_dq += Aw * (
-                np.einsum("mia,mab->mib", du, GYG) + np.einsum("mia,mab->mib", dv, GXG)
-            )
-            # inverse-metric channel: S = -area * G (X G Y + Y G X) G
-            Z = np.einsum("mab,mbc->mac", X, GYG) + np.einsum("mab,mbc->mac", Y, GXG)
-            S = -a1 * area[:, None, None] * np.einsum("mab,mbc->mac", G, Z)
-            g_dq += 2.0 * np.einsum("mia,mab->mib", dq, S)
-        if b1:
-            trGX = np.einsum("maa->m", GX)
-            trGY = np.einsum("maa->m", GY)
-            g_area += b1 * trGX * trGY
-            Aw = (b1 * 2.0 * area)[:, None, None]
-            g_dq += Aw * (
-                trGY[:, None, None] * np.einsum("mia,mab->mib", du, G)
-                + trGX[:, None, None] * np.einsum("mia,mab->mib", dv, G)
-            )
-            S = (-b1 * area)[:, None, None] * (
-                trGY[:, None, None] * GXG + trGX[:, None, None] * GYG
-            )
-            g_dq += 2.0 * np.einsum("mia,mab->mib", dq, S)
+    # For antisymmetric X, Y: tr(G X G Y^T) = -tr(G X G Y), so the rotation
+    # term d1 is the shear form a1 on the antisymmetric parts, weighted -d1.
+    # Per face a pass contributes area tr(X Ax) = area tr(Y Ay), where Ax is
+    # built from Y and Ay from X.
+    pu = dq.swapaxes(1, 2) @ du
+    pv = dq.swapaxes(1, 2) @ dv
+    for c, b, part in ((a1, b1, np.add), (-d1, 0.0, np.subtract)):
+        if not (c or b):
+            continue
+        X = part(pu, pu.swapaxes(1, 2))
+        Y = part(pv, pv.swapaxes(1, 2))
+        GX = G @ X
+        GY = G @ Y
+        Ax = c * (GY @ G) + b * np.trace(GY, axis1=1, axis2=2)[:, None, None] * G
+        Ay = c * (GX @ G) + b * np.trace(GX, axis1=1, axis2=2)[:, None, None] * G
+        g_area += np.einsum("mab,mba->m", X, Ax)
+        # the last product is the inverse-metric channel, d(G) = -G d(g) G
+        g_dq += (2.0 * area)[:, None, None] * (
+            du @ Ax + dv @ Ay - dq @ (G @ (X @ Ax + Y @ Ay))
+        )
 
     if c1:
         wu = np.cross(du[:, :, 0], e2) + np.cross(e1, du[:, :, 1])
@@ -177,26 +165,6 @@ def h2_vertex_gradient(geom, u, v, coefficients):
             )
             ge1 += np.cross(e2, a_c)
             ge2 += np.cross(a_c, e1)
-
-    if d1:
-        Xi = np.einsum("mia,mib->mab", dq, du)
-        Xi = Xi - Xi.transpose(0, 2, 1)
-        Zi = np.einsum("mia,mib->mab", dq, dv)
-        Zi = Zi - Zi.transpose(0, 2, 1)
-        GXi = np.einsum("mab,mbc->mac", G, Xi)
-        GZi = np.einsum("mab,mbc->mac", G, Zi)
-        GXiG = np.einsum("mab,mbc->mac", GXi, G)
-        GZiG = np.einsum("mab,mbc->mac", GZi, G)
-        # tr(G Xi G Zi^T)
-        g_area += d1 * np.einsum("mab,mbc,mcd,mad->m", G, Xi, G, Zi)
-        Aw = (d1 * 2.0 * area)[:, None, None]
-        g_dq -= Aw * (
-            np.einsum("mia,mab->mib", du, GZiG) + np.einsum("mia,mab->mib", dv, GXiG)
-        )
-        # inverse-metric channel: S = area * G (Xi G Zi + Zi G Xi) G
-        Z = np.einsum("mab,mbc->mac", Xi, GZiG) + np.einsum("mab,mbc->mac", Zi, GXiG)
-        S = d1 * area[:, None, None] * np.einsum("mab,mbc->mac", G, Z)
-        g_dq += 2.0 * np.einsum("mia,mab->mib", dq, S)
 
     if a2:
         lap_u = geom.lap @ u

@@ -113,22 +113,15 @@ def gram(basis, alpha, coefficients, geometry=None):
     """Pullback metric Gram matrix at a latent code.
 
     Entry ``(i, j)`` is the metric inner product of fields ``i`` and ``j``
-    over the decoded mesh; the result is symmetrized to make the bilinear
-    form exactly symmetric.
+    over the decoded mesh, or over ``geometry`` when the caller already has
+    the foot point's.  Each term is one matrix product ``A @ B.T`` of
+    ``(P, K)`` arrays of the fields' features at the foot point
+    (metric-tensor variation, its trace, normal variation, Laplacian image,
+    vertex values), each weighted by the square roots of the face areas or
+    vertex volumes; one term's features are built at a time.  The result is
+    symmetrized to make the bilinear form exactly symmetric.
     """
     geom = geometry if geometry is not None else _geometry(decode(basis, alpha))
-    return _gram_from_geometry(basis, geom, coefficients)
-
-
-def _gram_from_geometry(basis, geom, coefficients):
-    """Gram matrix as one matrix product per metric term.
-
-    Each term is ``A @ B.T`` over ``(P, K)`` arrays of the fields' features
-    at the foot point (metric-tensor variation, its trace, normal variation,
-    rotation part, Laplacian image, vertex values), each weighted by the
-    square roots of the face areas or vertex volumes.  One term's features
-    are built at a time.
-    """
     a0, a1, b1, c1, d1, a2 = coefficients.as_array()
     H = basis.fields
     P, N = H.shape[:2]
@@ -147,18 +140,18 @@ def _gram_from_geometry(basis, geom, coefficients):
     if a1 or b1 or c1 or d1:
         dh = _field_differential(geom.mesh.faces, H)  # (P, M, 3, 2)
         prod = fr.dq.swapaxes(1, 2) @ dh  # dq^T dh, (P, M, 2, 2)
-        if a1 or b1:
-            GX = root_area * (G @ (prod + prod.swapaxes(2, 3)))
-            if a1:
-                out += a1 * product(GX, GX.swapaxes(2, 3))
-            if b1:
-                out += b1 * product(np.einsum("pmaa->pm", GX))
-            del GX
+        # d1 is the a1 form on the antisymmetric part, weighted -d1: for
+        # antisymmetric X, Y, tr(G X G Y^T) = -tr(G X G Y).
+        for c, b, part in ((a1, b1, np.add), (-d1, 0.0, np.subtract)):
+            if c or b:
+                GX = root_area * (G @ part(prod, prod.swapaxes(2, 3)))
+                if c:
+                    out += c * product(GX, GX.swapaxes(2, 3))
+                if b:
+                    out += b * product(np.einsum("pmaa->pm", GX))
+                del GX
         if c1:
             out += c1 * product(root_area[:, 0] * _normal_variation(fr, dh))
-        if d1:
-            xi = root_area * (prod - prod.swapaxes(2, 3))
-            out += d1 * product(G @ xi @ G, xi)
     if a2:
         lap = geom.lap @ H.transpose(1, 0, 2).reshape(N, 3 * P)
         out += a2 * product((root_vol[:, None] * lap.reshape(N, P, 3)).transpose(1, 0, 2))
@@ -205,7 +198,7 @@ def latent_path_energy_with_grad(basis, path, coefficients, fixed_start=False):
     total = 0.0
     for t in range(T):
         geom = _geometry(decode(basis, path[t]))
-        gm = _gram_from_geometry(basis, geom, coefficients)
+        gm = gram(basis, path[t], coefficients, geometry=geom)
         d = path[t + 1] - path[t]
         total += float(d @ gm @ d)
         gd = 2.0 * (gm @ d)

@@ -459,45 +459,38 @@ def _shooting_system(basis, geom, g_cur, rhs, coefficients):
     return residual, jacobian
 
 
-def _midpoint_residual_solve(residual, jacobian, b, g_cur, tol, max_iter=200):
+def _midpoint_residual_solve(residual, jacobian, b, g_cur, rhs, tol):
     """Drive ``|residual(b)|`` below ``tol`` from ``b``; return ``(b, |residual|)``.
 
-    Levenberg-Marquardt-damped Gauss-Newton with backtracking.  A Jacobian is
-    reused while its full steps halve the residual (accepting any decrease can
-    walk to another root of the quadratic system), else rebuilt at the current
-    offset; a failure on a fresh Jacobian raises the damping.
+    Levenberg-Marquardt-damped Gauss-Newton with backtracking, on a Jacobian
+    built afresh at every iterate; a failed backtrack raises the damping.  Gives
+    up once ``|residual|`` reaches its rounding, ``eps (|rhs| + 2 |G_cur b|)``,
+    below which no step can be told to reduce it.
     """
+    eps = np.finfo(float).eps
+    rhs_norm = float(np.linalg.norm(rhs))
     r = residual(b)
     rn = float(np.linalg.norm(r))
     mu = 0.0
     eye = np.eye(b.size)
-    jac = None
-    for _ in range(max_iter):
-        if rn <= tol:
+    for _ in range(200):
+        if rn <= max(tol, eps * (rhs_norm + 2.0 * float(np.linalg.norm(g_cur @ b)))):
             break
-        if jac is None:
-            jac = jacobian(b)
-            fresh = True
+        jac = jacobian(b)
         try:
             dx = np.linalg.solve(jac.T @ jac + mu * eye, -(jac.T @ r))
         except np.linalg.LinAlgError:
             dx = np.linalg.lstsq(jac, -r, rcond=None)[0]
         step = 1.0
-        improved = False
-        for _ in range(40 if fresh else 1):
+        for _ in range(40):
             cand = b + step * dx
             rc = residual(cand)
             rcn = float(np.linalg.norm(rc))
-            if rcn < (1.0 if fresh else 0.5) * rn:
+            if rcn < rn:
                 b, r, rn = cand, rc, rcn
-                improved = True
+                mu *= 0.25
                 break
             step *= 0.5
-        if improved:
-            mu = max(mu * 0.25, 0.0)
-            fresh = False
-        elif not fresh:
-            jac = None
         else:
             mu = max(4.0 * mu, 1e-8 * float(np.trace(g_cur @ g_cur)) ** 0.5, 1e-12)
             if mu > 1e12:
@@ -536,9 +529,9 @@ def geodesic_ivp(basis, alpha0, beta, steps, coefficients, residual_tolerance=No
     geom, g_cur = knot(path[1])
     for k in range(1, N):
         beta0 = path[k] - path[k - 1]
-        residual, jacobian = _shooting_system(basis, geom, g_cur, 2.0 * (g_prev @ beta0),
-                                              coefficients)
-        bt, rn = _midpoint_residual_solve(residual, jacobian, beta0, g_cur, tol)
+        rhs = 2.0 * (g_prev @ beta0)
+        residual, jacobian = _shooting_system(basis, geom, g_cur, rhs, coefficients)
+        bt, rn = _midpoint_residual_solve(residual, jacobian, beta0, g_cur, rhs, tol)
         if rn > tol:
             raise SolverFailure(
                 f"shooting residual {rn:.3e} above tolerance {tol:.3e} at step {k}"

@@ -62,12 +62,16 @@ def test_h2_vertex_gradient_full_metric():
     mesh = syn.icosphere(1)
     u = 0.2 * rng.standard_normal((mesh.n_vertices, 3))
     faces = mesh.faces
+    # with every term active, a value carried from one term's pass into the
+    # next shows only when u and v differ
+    for polarized in (False, True):
+        v = 0.2 * rng.standard_normal((mesh.n_vertices, 3)) if polarized else u
 
-    def fun(x):
-        return h2_inner(TriangleMesh(x, faces, validate=False), u, u, BODY)
+        def fun(x):
+            return h2_inner(TriangleMesh(x, faces, validate=False), u, v, BODY)
 
-    grad = h2_vertex_gradient(_geometry(mesh), u, u, BODY)
-    _directional_match(fun, grad, mesh.vertices.copy(), rng)
+        grad = h2_vertex_gradient(_geometry(mesh), u, v, BODY)
+        _directional_match(fun, grad, mesh.vertices.copy(), rng)
 
 
 @pytest.mark.parametrize("idx", range(6), ids=LABELS)
