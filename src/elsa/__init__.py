@@ -24,7 +24,16 @@ from .mesh import (
     vertex_volumes,
 )
 from .metric import MetricCoefficients, MetricTerms, h2_inner, h2_inner_terms, metric_terms, path_energy
-from .varifold import VarifoldConfig, remeshing_relative_error, varifold_grad, varifold_norm_sq, varifold_sqdist
+from .varifold import (
+    VarifoldConfig,
+    VarifoldTarget,
+    remeshing_relative_error,
+    varifold_grad,
+    varifold_norm_sq,
+    varifold_sqdist,
+    varifold_sqdist_to,
+    varifold_value_and_grad,
+)
 from .latent import (
     LatentBasis,
     decode,

@@ -26,7 +26,7 @@ from ._diff import h2_vertex_gradient, step_energy_discrete_with_grads
 from .latent import decode, gram, latent_path_energy_with_grad
 from .mesh import MeshError, TriangleMesh
 from .metric import _geometry
-from .varifold import VarifoldConfig, varifold_grad, varifold_sqdist
+from .varifold import VarifoldConfig, VarifoldTarget, varifold_sqdist_to, varifold_value_and_grad
 
 
 class SolverFailure(RuntimeError):
@@ -296,14 +296,20 @@ def _guard(fun):
 # ---------------------------------------------------------------------------
 
 
-def _minimize_stages(objective, x, schedule, config):
-    """Minimize each stage's objective from the last stage's result; report all stages."""
+def _minimize_stages(objective, x, schedule, config, meshes):
+    """Minimize each stage's objective from the last stage's result; report all stages.
+
+    ``objective(targets, lam)`` receives ``meshes`` as varifold targets at the
+    stage's kernel scale, built once per stage; the last stage's are returned
+    with the solution and the report.
+    """
     iterations, reasons = [], []
     for sigma, lam in schedule.stages:
-        x, report = minimize(objective(VarifoldConfig(sigma), lam), x, config)
+        targets = [VarifoldTarget(m, VarifoldConfig(sigma)) for m in meshes]
+        x, report = minimize(objective(targets, lam), x, config)
         iterations += report.iterations
         reasons += report.reasons
-    return x, replace(report, iterations=iterations, reasons=reasons)
+    return x, replace(report, iterations=iterations, reasons=reasons), targets
 
 
 def retrieve_latent(basis, target, coefficients, schedule=None, time_steps=10, config=None):
@@ -329,30 +335,28 @@ def retrieve_latent(basis, target, coefficients, schedule=None, time_steps=10, c
     P = basis.dim
     fields_mat = basis.fields_matrix
 
-    def objective(vcfg, lam):
+    def objective(targets, lam):
+        (tgt,) = targets
+
         def fun(x):
             path = np.vstack([np.zeros(P), x.reshape(T, P)])
             energy, grad_e = latent_path_energy_with_grad(basis, path, coefficients, fixed_start=True)
-            end = decode(basis, path[-1])
-            gamma = varifold_sqdist(end, target, vcfg)
+            gamma, grad_v = varifold_value_and_grad(decode(basis, path[-1]), tgt)
             grad = grad_e / lam
-            grad[-1] += fields_mat @ varifold_grad(end, target, vcfg).ravel()
+            grad[-1] += fields_mat @ grad_v.ravel()
             return gamma + energy / lam, grad[1:].ravel()
 
         return _guard(fun)
 
-    x, report = _minimize_stages(objective, np.zeros(T * P), schedule, config)
+    x, report, (tgt,) = _minimize_stages(objective, np.zeros(T * P), schedule, config, (target,))
     path = np.vstack([np.zeros(P), x.reshape(T, P)])
     # The interior knots weigh only 1/lambda in the staged objectives, so the
     # gradient test leaves them loose: make them the geodesic to the end code.
     path, refined = geodesic_bvp(basis, path[0], path[-1], T, coefficients, config, path)
-    end = decode(basis, path[-1])
-    sigma_final = schedule.stages[-1][0]
-    gamma = varifold_sqdist(end, target, VarifoldConfig(sigma_final))
     return path, replace(report, details={
-        "varifold_sqdist": gamma,
+        "varifold_sqdist": varifold_sqdist_to(decode(basis, path[-1]), tgt),
         "path_energy": refined.value,
-        "sigma": sigma_final,
+        "sigma": tgt.config.sigma,
         "geodesic_iterations": refined.iterations[0],
         "geodesic_grad_norm": refined.grad_norm,
     })
@@ -403,30 +407,29 @@ def relaxed_geodesic(basis, q0, q1, time_steps, coefficients, schedule=None, con
     P = basis.dim
     fields_mat = basis.fields_matrix
 
-    def objective(vcfg, lam):
+    def objective(targets, lam):
+        t0, t1 = targets
+
         def fun(x):
             path = x.reshape(T + 1, P)
             energy, grad = latent_path_energy_with_grad(basis, path, coefficients)
-            start = decode(basis, path[0])
-            end = decode(basis, path[-1])
-            g0 = varifold_sqdist(start, q0, vcfg)
-            g1 = varifold_sqdist(end, q1, vcfg)
-            grad[0] += lam * (fields_mat @ varifold_grad(start, q0, vcfg).ravel())
-            grad[-1] += lam * (fields_mat @ varifold_grad(end, q1, vcfg).ravel())
+            g0, grad0 = varifold_value_and_grad(decode(basis, path[0]), t0)
+            g1, grad1 = varifold_value_and_grad(decode(basis, path[-1]), t1)
+            grad[0] += lam * (fields_mat @ grad0.ravel())
+            grad[-1] += lam * (fields_mat @ grad1.ravel())
             return energy + lam * (g0 + g1), grad.ravel()
 
         return _guard(fun)
 
     x = (np.zeros((T + 1, P)) if init_path is None else np.asarray(init_path, float)).ravel()
-    x, report = _minimize_stages(objective, x, schedule, config)
+    x, report, (t0, t1) = _minimize_stages(objective, x, schedule, config, (q0, q1))
     path = x.reshape(T + 1, P)
-    vcfg = VarifoldConfig(schedule.stages[-1][0])
     energy, _ = latent_path_energy_with_grad(basis, path, coefficients)
     return path, replace(report, details={
-        "gamma0": varifold_sqdist(decode(basis, path[0]), q0, vcfg),
-        "gamma1": varifold_sqdist(decode(basis, path[-1]), q1, vcfg),
+        "gamma0": varifold_sqdist_to(decode(basis, path[0]), t0),
+        "gamma1": varifold_sqdist_to(decode(basis, path[-1]), t1),
         "path_energy": energy,
-        "sigma": vcfg.sigma,
+        "sigma": t1.config.sigma,
     })
 
 

@@ -11,16 +11,25 @@ blind to vertex ordering, face ordering and (through the squared cosine)
 to orientation flips.  The gradient with respect to the vertex positions of
 the first mesh is assembled analytically; no kernel approximation is used,
 pair sums run exactly in fixed-size blocks.
+
+A mesh matched against a fixed one over many evaluations (the data term of
+the relaxed solvers) is compared with a :class:`VarifoldTarget`: the fixed
+mesh's atoms and its ``<b,b>``, computed once per kernel scale.
+:func:`varifold_value_and_grad` then makes two blockwise passes, a-a and
+a-b; each returns its pair sum and the atom gradients from the same kernel
+block.  Sums accumulate in the same blocks and order as in
+:func:`varifold_sqdist`, so value and gradient are bit-identical to it and
+to :func:`varifold_grad`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._diff import area_edge_grads, normal_edge_grads, scatter_edge_grads
-from .mesh import face_samples
+from .mesh import FaceSamples, TriangleMesh, face_samples
 
 #: number of source atoms per block in pair sums (bounds memory, fixes the
 #: reduction order so results do not depend on how work is split)
@@ -59,32 +68,59 @@ def _pair_sum(ca, na, aa, cb, nb, ab, sigma):
     return total
 
 
+@dataclass(frozen=True, eq=False)
+class VarifoldTarget:
+    """A fixed mesh's face atoms and squared norm ``<b,b>`` at one kernel scale.
+
+    Build it once per mesh and scale; distances to it then skip ``<b,b>``.
+    """
+
+    mesh: TriangleMesh
+    config: VarifoldConfig
+    samples: FaceSamples = field(init=False, repr=False)
+    norm_sq: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        s = face_samples(self.mesh)
+        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "norm_sq", _pair_sum(
+            s.centers, s.normals, s.areas, s.centers, s.normals, s.areas, self.config.sigma
+        ))
+
+
 def varifold_norm_sq(mesh, config):
     """Squared varifold norm ``<m, m>`` of a single mesh."""
-    s = face_samples(mesh)
-    return _pair_sum(s.centers, s.normals, s.areas, s.centers, s.normals, s.areas, config.sigma)
+    return VarifoldTarget(mesh, config).norm_sq
 
 
-def varifold_sqdist(a, b, config):
-    """Squared kernel distance between two meshes, clamped at zero.
+def varifold_sqdist_to(mesh, target):
+    """Squared kernel distance from ``mesh`` to a cached target, clamped at zero.
 
     The clamp guards against floating-point cancellation when the two atom
     multisets (barycenter, normal, area) coincide.
     """
-    sa = face_samples(a)
-    sb = face_samples(b)
-    aa = _pair_sum(sa.centers, sa.normals, sa.areas, sa.centers, sa.normals, sa.areas, config.sigma)
-    bb = _pair_sum(sb.centers, sb.normals, sb.areas, sb.centers, sb.normals, sb.areas, config.sigma)
-    ab = _pair_sum(sa.centers, sa.normals, sa.areas, sb.centers, sb.normals, sb.areas, config.sigma)
-    return max(aa - 2.0 * ab + bb, 0.0)
+    sa = face_samples(mesh)
+    sb = target.samples
+    sigma = target.config.sigma
+    aa = _pair_sum(sa.centers, sa.normals, sa.areas, sa.centers, sa.normals, sa.areas, sigma)
+    ab = _pair_sum(sa.centers, sa.normals, sa.areas, sb.centers, sb.normals, sb.areas, sigma)
+    return max(aa - 2.0 * ab + target.norm_sq, 0.0)
 
 
-def _atom_grads(ca, na, aa, cb, nb, ab, sigma):
-    """Gradients of the pair sum w.r.t. the atoms of the first mesh.
+def varifold_sqdist(a, b, config):
+    """Squared kernel distance between two meshes, clamped at zero."""
+    return varifold_sqdist_to(a, VarifoldTarget(b, config))
 
-    Returns per-face arrays ``(d/d_center, d/d_normal, d/d_area)``.
+
+def _pair_pass(ca, na, aa, cb, nb, ab, sigma):
+    """Pair sum and its gradients w.r.t. the atoms of the first mesh.
+
+    Returns ``(sum, d/d_center, d/d_normal, d/d_area)``, the gradients per
+    face.  Each block's kernel serves both; the sum accumulates as in
+    :func:`_pair_sum`.
     """
     inv_s2 = 1.0 / sigma**2
+    total = 0.0
     gc = np.zeros_like(ca)
     gn = np.zeros_like(na)
     ga = np.zeros_like(aa)
@@ -93,28 +129,29 @@ def _atom_grads(ca, na, aa, cb, nb, ab, sigma):
         dot = na[sl] @ nb.T
         expo = np.exp(-_sq_distances(ca[sl], cb) * inv_s2)
         kern = expo * dot**2
-        kw = kern * (aa[sl, None] * ab[None, :])
+        total += float(aa[sl] @ kern @ ab)
+        w = aa[sl, None] * ab[None, :]
+        kw = kern * w
         row = kw.sum(axis=1)
         gc[sl] = -2.0 * inv_s2 * (row[:, None] * ca[sl] - kw @ cb)
-        gn[sl] = (2.0 * expo * dot * (aa[sl, None] * ab[None, :])) @ nb
+        gn[sl] = (2.0 * expo * dot * w) @ nb
         ga[sl] = kern @ ab
-    return gc, gn, ga
+    return total, gc, gn, ga
 
 
-def varifold_grad(a, b, config):
-    """Gradient of :func:`varifold_sqdist` w.r.t. the vertices of ``a``.
+def _matching_terms(a, sb, sigma):
+    """``<a,a> - 2<a,b>`` and its gradient w.r.t. the vertices of ``a``.
 
     The chain rule runs through barycenters (uniform thirds), unit normals
-    and areas of the faces of ``a``; ``b`` is held fixed.
+    and areas of the faces of ``a``; the atoms ``sb`` of ``b`` are fixed.
     """
     sa = face_samples(a)
-    sb = face_samples(b)
     # d<a,a>/datom carries a factor 2 by symmetry of the kernel
-    gc, gn, ga = _atom_grads(
-        sa.centers, sa.normals, sa.areas, sa.centers, sa.normals, sa.areas, config.sigma
+    aa, gc, gn, ga = _pair_pass(
+        sa.centers, sa.normals, sa.areas, sa.centers, sa.normals, sa.areas, sigma
     )
-    gc2, gn2, ga2 = _atom_grads(
-        sa.centers, sa.normals, sa.areas, sb.centers, sb.normals, sb.areas, config.sigma
+    ab, gc2, gn2, ga2 = _pair_pass(
+        sa.centers, sa.normals, sa.areas, sb.centers, sb.normals, sb.areas, sigma
     )
     gc = 2.0 * gc - 2.0 * gc2
     gn = 2.0 * gn - 2.0 * gn2
@@ -132,7 +169,22 @@ def varifold_grad(a, b, config):
     ge1, ge2 = normal_edge_grads(e1, e2, sa.normals, s, gn)
     da1, da2 = area_edge_grads(e1, e2, sa.normals, ga)
     scatter_edge_grads(grad, f, ge1 + da1, ge2 + da2)
-    return grad
+    return aa - 2.0 * ab, grad
+
+
+def varifold_grad(a, b, config):
+    """Gradient of :func:`varifold_sqdist` w.r.t. the vertices of ``a``; ``b`` is fixed."""
+    return _matching_terms(a, face_samples(b), config.sigma)[1]
+
+
+def varifold_value_and_grad(mesh, target):
+    """:func:`varifold_sqdist_to` and its gradient w.r.t. the vertices of ``mesh``.
+
+    Two pair passes (a-a and a-b) give value and gradient together; the
+    target's ``<b,b>`` comes from its cache.
+    """
+    partial, grad = _matching_terms(mesh, target.samples, target.config.sigma)
+    return max(partial + target.norm_sq, 0.0), grad
 
 
 def remeshing_relative_error(a, a_remeshed, sigmas):
@@ -144,7 +196,6 @@ def remeshing_relative_error(a, a_remeshed, sigmas):
     """
     out = []
     for sigma in sigmas:
-        cfg = VarifoldConfig(sigma=float(sigma))
-        norm = np.sqrt(varifold_norm_sq(a_remeshed, cfg))
-        out.append(float(np.sqrt(varifold_sqdist(a, a_remeshed, cfg)) / norm))
+        target = VarifoldTarget(a_remeshed, VarifoldConfig(sigma=float(sigma)))
+        out.append(float(np.sqrt(varifold_sqdist_to(a, target)) / np.sqrt(target.norm_sq)))
     return out

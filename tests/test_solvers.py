@@ -8,6 +8,7 @@ from elsa import (
     SolveReport,
     SolverFailure,
     VarifoldConfig,
+    VarifoldTarget,
     decode,
     face_areas,
     geodesic_bvp,
@@ -214,6 +215,26 @@ def test_multistage_solves_report_every_stage_reason():
         assert report.iterations == [2, 2]
         assert report.reasons == ["max_iters", "max_iters"]
         assert report.reason == report.reasons[-1]
+
+
+def test_relaxed_solvers_build_each_target_once_per_stage(monkeypatch):
+    built = []
+    post_init = VarifoldTarget.__post_init__
+
+    def counted(self):
+        built.append(self.config.sigma)
+        post_init(self)
+
+    monkeypatch.setattr(VarifoldTarget, "__post_init__", counted)
+    basis = syn.random_basis(syn.icosphere(1), 2, 3, seed=4)
+    target = decode(basis, 0.1 * np.random.default_rng(5).standard_normal(basis.dim))
+    schedule = MultiscaleSchedule(stages=((0.3, 1e3), (0.1, 1e6)))
+    budget = OptimizerConfig(max_iterations=3)
+    retrieve_latent(basis, target, BODY, schedule, time_steps=2, config=budget)
+    assert built == [0.3, 0.1]
+    built.clear()
+    relaxed_geodesic(basis, target, target, 2, BODY, schedule, budget)
+    assert built == [0.3, 0.3, 0.1, 0.1]
 
 
 def test_solve_report_needs_one_reason_per_stage():

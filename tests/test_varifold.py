@@ -4,11 +4,15 @@ import pytest
 from elsa import (
     TriangleMesh,
     VarifoldConfig,
+    VarifoldTarget,
     remeshing_relative_error,
     varifold_grad,
     varifold_norm_sq,
     varifold_sqdist,
+    varifold_sqdist_to,
+    varifold_value_and_grad,
 )
+from elsa.varifold import _BLOCK
 
 import synthetic as syn
 
@@ -133,6 +137,52 @@ def test_translation_directional_derivative():
     # d/dt [-2 <a+t, b>] = 4/sigma^2 sum k * (c_a - c_b) . t * w
     expected = float(np.sum(4.0 * inv_s2 * kern * w * (diff @ t)))
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# cached target and fused value and gradient
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sigma", [0.3, 0.1])
+def test_fused_equals_reference_across_blocks(sigma):
+    # both meshes exceed one block, so every pass runs a full block and a tail
+    a = syn.icosphere(3)
+    b = syn.bumpy_mesh(560, seed=16)
+    assert a.n_faces > _BLOCK and b.n_faces > _BLOCK
+    cfg = VarifoldConfig(sigma)
+    target = VarifoldTarget(b, cfg)
+    value, grad = varifold_value_and_grad(a, target)
+    assert value == varifold_sqdist(a, b, cfg)
+    assert np.array_equal(grad, varifold_grad(a, b, cfg))
+    assert varifold_sqdist_to(a, target) == varifold_sqdist(a, b, cfg)
+    assert target.norm_sq == varifold_norm_sq(b, cfg)
+
+
+def test_fused_equals_reference_small():
+    a = syn.bumpy_mesh(30, seed=12)
+    b = syn.bumpy_mesh(25, seed=13)
+    value, grad = varifold_value_and_grad(a, VarifoldTarget(b, CFG))
+    assert value == varifold_sqdist(a, b, CFG)
+    assert np.array_equal(grad, varifold_grad(a, b, CFG))
+
+
+def test_fused_gradient_matches_finite_differences():
+    rng = np.random.default_rng(17)
+    a = syn.bumpy_mesh(30, seed=18)
+    target = VarifoldTarget(syn.bumpy_mesh(25, seed=19), CFG)
+    _, grad = varifold_value_and_grad(a, target)
+    faces = a.faces
+
+    def fun(x):
+        return varifold_value_and_grad(TriangleMesh(x, faces, validate=False), target)[0]
+
+    eps = 1e-6
+    for _ in range(6):
+        d = rng.standard_normal(a.vertices.shape)
+        fd = (fun(a.vertices + eps * d) - fun(a.vertices - eps * d)) / (2 * eps)
+        got = float(grad.ravel() @ d.ravel())
+        assert got == pytest.approx(fd, rel=1e-6, abs=1e-9 * max(1.0, abs(fd)))
 
 
 # ---------------------------------------------------------------------------
