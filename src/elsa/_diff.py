@@ -7,13 +7,19 @@ differentiated with respect to vertex positions:
   vertex fields ``u, v`` held fixed (the foot-point derivative used by the
   latent-space path energy), and
 * the discrete one-step path energy between a left mesh ``q`` and right
-  vertex positions ``r``, where metric-tensor and normal variations are
-  finite differences and all weights live on ``q``.
+  vertex positions ``r``, with all weights on ``q``.  It is the analytic
+  form at ``u = r - q`` with ``du^T du`` added to the symmetric part
+  ``dq^T du + du^T dq``, which makes that part the finite difference
+  ``dr^T dr - dq^T dq`` of the metric tensor; only the normal term is its
+  own finite difference of unit normals.
 
-Gradients are assembled per face from a handful of adjoint channels (area,
-unit normal, edge matrix, vertex volume, cotangent weights) and scattered to
-vertices.  Each channel is exercised against central finite differences by
-the test suite; the algebra is unforgiving, the tests are not optional.
+Both share the per-face trace form of the a1, b1 and d1 terms
+(:func:`trace_form`) and the per-vertex a0 and a2 terms
+(:func:`vertex_terms`).  Gradients are assembled per face from a handful of
+adjoint channels (area, unit normal, edge matrix, vertex volume, cotangent
+weights) and scattered to vertices.  Each channel is exercised against
+central finite differences by the test suite; the algebra is unforgiving,
+the tests are not optional.
 """
 
 from __future__ import annotations
@@ -89,6 +95,52 @@ def _laplacian_edge_lambda(faces, vol, u, lap_u, v, lap_v):
     return lam
 
 
+def trace_form(G, X, Y, c, b):
+    """Per-face ``c tr(G X G Y) + b tr(G X) tr(G Y)`` and its adjoint channels.
+
+    ``X`` and ``Y`` are ``(M, 2, 2)`` stacks, both symmetric or both
+    antisymmetric, and ``G`` the inverse metric tensors.  Returns
+    ``(value, Ax, Ay, S)``: ``value = tr(X Ax) = tr(Y Ay)`` per face, where
+    ``Ax = c G Y G + b tr(G Y) G`` and ``Ay`` likewise from ``X``, and
+    ``S = G (X Ax + Y Ay)`` is the inverse-metric channel, ``d(G) = -G d(g) G``.
+    """
+
+    def adjoint(GZ):
+        return c * (GZ @ G) + b * np.trace(GZ, axis1=1, axis2=2)[:, None, None] * G
+
+    GX = G @ X
+    if Y is X:
+        Ax = Ay = adjoint(GX)
+    else:
+        Ax, Ay = adjoint(G @ Y), adjoint(GX)
+    value = np.einsum("mab,mba->m", X, Ax)
+    return value, Ax, Ay, G @ (X @ Ax + Y @ Ay)
+
+
+def vertex_terms(geom, u, v, a0, a2, grad):
+    """The a0 and a2 terms of ``G_q(u, v)`` as a per-vertex density.
+
+    Returns ``(density, lap_v)``: the terms sum to ``density @ vol``, so the
+    density is also the adjoint of the vertex volumes; ``lap_v`` is the
+    Laplacian of ``v`` (``None`` without a2).  The a2 term's cotangent-weight
+    adjoint is accumulated into ``grad``.
+    """
+    density = a0 * _rowdot(u, v) if a0 else np.zeros(len(u))
+    lap_v = None
+    if a2:
+        mesh = geom.mesh
+        lap_v = geom.lap @ v
+        lap_u = lap_v if v is u else geom.lap @ u
+        density += a2 * _rowdot(lap_u, lap_v)
+        add_cot_channel(
+            grad,
+            mesh.vertices,
+            mesh.faces,
+            a2 * _laplacian_edge_lambda(mesh.faces, geom.vol, u, lap_u, v, lap_v),
+        )
+    return density, lap_v
+
+
 def h2_vertex_gradient(geom, u, v, coefficients):
     """Gradient of the analytic ``h2_inner(q, u, v)`` w.r.t. the vertices of q.
 
@@ -101,9 +153,7 @@ def h2_vertex_gradient(geom, u, v, coefficients):
     """
     mesh = geom.mesh
     F = mesh.faces
-    V = mesh.vertices
     fr = geom.frames
-    G = geom.ginv
     dq = fr.dq
     e1 = dq[:, :, 0]
     e2 = dq[:, :, 1]
@@ -113,24 +163,17 @@ def h2_vertex_gradient(geom, u, v, coefficients):
     a0, a1, b1, c1, d1, a2 = coefficients.as_array()
 
     M = F.shape[0]
-    N = V.shape[0]
-    grad = np.zeros((N, 3))
+    grad = np.zeros((mesh.n_vertices, 3))
     g_area = np.zeros(M)
     g_dq = np.zeros((M, 3, 2))
-    g_vol = np.zeros(N)
     ge1 = np.zeros((M, 3))
     ge2 = np.zeros((M, 3))
 
     du = _field_differential(F, u)
     dv = _field_differential(F, v)
 
-    if a0:
-        g_vol += a0 * _rowdot(u, v)
-
     # For antisymmetric X, Y: tr(G X G Y^T) = -tr(G X G Y), so the rotation
     # term d1 is the shear form a1 on the antisymmetric parts, weighted -d1.
-    # Per face a pass contributes area tr(X Ax) = area tr(Y Ay), where Ax is
-    # built from Y and Ay from X.
     pu = dq.swapaxes(1, 2) @ du
     pv = dq.swapaxes(1, 2) @ dv
     for c, b, part in ((a1, b1, np.add), (-d1, 0.0, np.subtract)):
@@ -138,15 +181,9 @@ def h2_vertex_gradient(geom, u, v, coefficients):
             continue
         X = part(pu, pu.swapaxes(1, 2))
         Y = part(pv, pv.swapaxes(1, 2))
-        GX = G @ X
-        GY = G @ Y
-        Ax = c * (GY @ G) + b * np.trace(GY, axis1=1, axis2=2)[:, None, None] * G
-        Ay = c * (GX @ G) + b * np.trace(GX, axis1=1, axis2=2)[:, None, None] * G
-        g_area += np.einsum("mab,mba->m", X, Ax)
-        # the last product is the inverse-metric channel, d(G) = -G d(g) G
-        g_dq += (2.0 * area)[:, None, None] * (
-            du @ Ax + dv @ Ay - dq @ (G @ (X @ Ax + Y @ Ay))
-        )
+        value, Ax, Ay, S = trace_form(geom.ginv, X, Y, c, b)
+        g_area += value
+        g_dq += (2.0 * area)[:, None, None] * (du @ Ax + dv @ Ay - dq @ S)
 
     if c1:
         wu = np.cross(du[:, :, 0], e2) + np.cross(e1, du[:, :, 1])
@@ -166,14 +203,7 @@ def h2_vertex_gradient(geom, u, v, coefficients):
             ge1 += np.cross(e2, a_c)
             ge2 += np.cross(a_c, e1)
 
-    if a2:
-        lap_u = geom.lap @ u
-        lap_v = geom.lap @ v
-        g_vol += a2 * _rowdot(lap_u, lap_v)
-        add_cot_channel(
-            grad, V, F, a2 * _laplacian_edge_lambda(F, geom.vol, u, lap_u, v, lap_v)
-        )
-
+    g_vol, _ = vertex_terms(geom, u, v, a0, a2, grad)
     # vertex volumes distribute one third of each incident area
     g_area += (g_vol[F[:, 0]] + g_vol[F[:, 1]] + g_vol[F[:, 2]]) / 3.0
 
@@ -186,11 +216,17 @@ def h2_vertex_gradient(geom, u, v, coefficients):
 
 def step_energy_discrete(geom_left, right_vertices, coefficients):
     """Discrete one-step energy with finite-difference variations."""
-    return _step_discrete(geom_left, right_vertices, coefficients, want_grads=False)[0]
+    return step_energy_discrete_with_grads(geom_left, right_vertices, coefficients)[0]
 
 
 def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
     """Discrete one-step energy and its gradients w.r.t. both vertex sets.
+
+    With ``u = r - q`` the energy is the analytic ``G_q(u, u)`` with
+    ``du^T du`` added to the symmetric part ``dq^T du + du^T dq`` (so that it
+    is ``dr^T dr - dq^T dq``) and the normal variation replaced by the
+    finite difference of unit normals.  Outside the normal term, the left
+    gradient is the foot-point gradient of that form minus the right one.
 
     Returns
     -------
@@ -198,78 +234,49 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
         Energy, gradient w.r.t. the left mesh vertices, gradient w.r.t. the
         right vertex positions.
     """
-    return _step_discrete(geom_left, right_vertices, coefficients, want_grads=True)
-
-
-def _step_discrete(geom, vr, coefficients, want_grads):
-    mesh = geom.mesh
+    mesh = geom_left.mesh
     F = mesh.faces
-    V = mesh.vertices
-    fr = geom.frames
-    G = geom.ginv
+    fr = geom_left.frames
     dq = fr.dq
     e1 = dq[:, :, 0]
     e2 = dq[:, :, 1]
     n = fr.n
     area = fr.area
-    vol = geom.vol
+    vol = geom_left.vol
     a0, a1, b1, c1, d1, a2 = coefficients.as_array()
 
     M = F.shape[0]
-    N = V.shape[0]
-    u = vr - V
-    dr = np.stack([vr[F[:, 1]] - vr[F[:, 0]], vr[F[:, 2]] - vr[F[:, 0]]], axis=2)
+    u = right_vertices - mesh.vertices
+    du = _field_differential(F, u)
+    dr = _field_differential(F, right_vertices)
+    grad_l = np.zeros((mesh.n_vertices, 3))
+    g_area = np.zeros(M)
+    g_dq = np.zeros((M, 3, 2))
+    g_dr = np.zeros((M, 3, 2))
+    gl_e1 = gl_e2 = 0.0  # left edge adjoints of the normal term
 
-    value = 0.0
-    if want_grads:
-        grad_l = np.zeros((N, 3))
-        grad_r = np.zeros((N, 3))
-        g_area = np.zeros(M)
-        g_dql = np.zeros((M, 3, 2))
-        g_dr = np.zeros((M, 3, 2))
-        g_vol = np.zeros(N)
-        gl_e1 = np.zeros((M, 3))
-        gl_e2 = np.zeros((M, 3))
-        gr_e1 = np.zeros((M, 3))
-        gr_e2 = np.zeros((M, 3))
+    g_vol, lap_u = vertex_terms(geom_left, u, u, a0, a2, grad_l)
+    value = float(g_vol @ vol)
+    grad_r = (2.0 * a0) * vol[:, None] * u
+    if a2:
+        grad_r += (2.0 * a2) * (geom_left.lap @ (vol[:, None] * lap_u))
+    grad_l -= grad_r
 
-    if a0:
-        value += a0 * float(_rowdot(u, u) @ vol)
-        if want_grads:
-            d = (2.0 * a0) * vol[:, None] * u
-            grad_r += d
-            grad_l -= d
-            g_vol += a0 * _rowdot(u, u)
-
-    if a1 or b1:
-        gr = np.einsum("mia,mib->mab", dr, dr)
-        X = gr - fr.g
-        GX = np.einsum("mab,mbc->mac", G, X)
-        if a1:
-            tr_sq = np.einsum("mab,mba->m", GX, GX)
-            value += a1 * float(tr_sq @ area)
-            if want_grads:
-                GXG = np.einsum("mab,mbc->mac", GX, G)
-                C = 2.0 * GXG  # dT/dX, symmetric
-                Sr = a1 * area[:, None, None] * C
-                g_dr += 2.0 * np.einsum("mia,mab->mib", dr, Sr)
-                g_dql -= 2.0 * np.einsum("mia,mab->mib", dq, Sr)
-                Sg = (-2.0 * a1 * area)[:, None, None] * np.einsum(
-                    "mab,mbc->mac", GX, GXG
-                )
-                g_dql += 2.0 * np.einsum("mia,mab->mib", dq, Sg)
-                g_area += a1 * tr_sq
-        if b1:
-            trGX = np.einsum("maa->m", GX)
-            value += b1 * float((trGX**2) @ area)
-            if want_grads:
-                Sr = (2.0 * b1 * area * trGX)[:, None, None] * G
-                g_dr += 2.0 * np.einsum("mia,mab->mib", dr, Sr)
-                g_dql -= 2.0 * np.einsum("mia,mab->mib", dq, Sr)
-                GXG = np.einsum("mab,mbc->mac", GX, G)
-                Sg = (-2.0 * b1 * area * trGX)[:, None, None] * GXG
-                g_dql += 2.0 * np.einsum("mia,mab->mib", dq, Sg)
-                g_area += b1 * trGX**2
+    # dr^T dr - dq^T dq = (dq^T du + du^T dq) + du^T du and
+    # dq^T dr - dr^T dq = dq^T du - du^T dq; along a variation e of dr the
+    # parts change by w^T e +- e^T w
+    pu = dq.swapaxes(1, 2) @ du
+    for c, b, X, w in (
+        (a1, b1, pu + pu.swapaxes(1, 2) + du.swapaxes(1, 2) @ du, dr),
+        (-d1, 0.0, pu - pu.swapaxes(1, 2), -dq),
+    ):
+        if not (c or b):
+            continue
+        t, Ax, _, S = trace_form(geom_left.ginv, X, X, c, b)
+        value += float(t @ area)
+        g_area += t
+        g_dq += (2.0 * area)[:, None, None] * (2.0 * ((du - w) @ Ax) - dq @ S)
+        g_dr += (4.0 * area)[:, None, None] * (w @ Ax)
 
     if c1:
         cr = np.cross(dr[:, :, 0], dr[:, :, 1])
@@ -281,52 +288,17 @@ def _step_discrete(geom, vr, coefficients, want_grads):
         nr = cr / sr[:, None]
         dn = nr - n
         value += c1 * float(_rowdot(dn, dn) @ area)
-        if want_grads:
-            gn = (2.0 * c1 * area)[:, None] * dn
-            r1, r2 = normal_edge_grads(dr[:, :, 0], dr[:, :, 1], nr, sr, gn)
-            gr_e1 += r1
-            gr_e2 += r2
-            l1, l2 = normal_edge_grads(e1, e2, n, 2.0 * area, -gn)
-            gl_e1 += l1
-            gl_e2 += l2
-            g_area += c1 * _rowdot(dn, dn)
-
-    if d1:
-        Xi = np.einsum("mia,mib->mab", dq, dr)
-        Xi = Xi - Xi.transpose(0, 2, 1)
-        GXi = np.einsum("mab,mbc->mac", G, Xi)
-        GXiG = np.einsum("mab,mbc->mac", GXi, G)
-        value += d1 * float(np.einsum("mab,mbc,mcd,mad->m", G, Xi, G, Xi) @ area)
-        if want_grads:
-            C = 2.0 * GXiG  # dT/dXi (Frobenius), antisymmetric
-            Aw = (d1 * area)[:, None, None]
-            g_dr += 2.0 * Aw * np.einsum("mia,mab->mib", dq, C)
-            g_dql -= 2.0 * Aw * np.einsum("mia,mab->mib", dr, C)
-            Sg = (2.0 * d1 * area)[:, None, None] * np.einsum("mab,mbc->mac", GXi, GXiG)
-            g_dql += 2.0 * np.einsum("mia,mab->mib", dq, Sg)
-            g_area += d1 * np.einsum("mab,mbc,mcd,mad->m", G, Xi, G, Xi)
-
-    if a2:
-        lap_u = geom.lap @ u
-        value += a2 * float(_rowdot(lap_u, lap_u) @ vol)
-        if want_grads:
-            d = (2.0 * a2) * (geom.lap @ (vol[:, None] * lap_u))
-            grad_r += d
-            grad_l -= d
-            g_vol += a2 * _rowdot(lap_u, lap_u)
-            add_cot_channel(
-                grad_l, V, F, a2 * _laplacian_edge_lambda(F, vol, u, lap_u, u, lap_u)
-            )
-
-    if not want_grads:
-        return value, None, None
+        gn = (2.0 * c1 * area)[:, None] * dn
+        r1, r2 = normal_edge_grads(dr[:, :, 0], dr[:, :, 1], nr, sr, gn)
+        g_dr[:, :, 0] += r1
+        g_dr[:, :, 1] += r2
+        gl_e1, gl_e2 = normal_edge_grads(e1, e2, n, 2.0 * area, -gn)
+        g_area += c1 * _rowdot(dn, dn)
 
     g_area += (g_vol[F[:, 0]] + g_vol[F[:, 1]] + g_vol[F[:, 2]]) / 3.0
     da1, da2 = area_edge_grads(e1, e2, n, g_area)
-    gl_e1 += da1 + g_dql[:, :, 0]
-    gl_e2 += da2 + g_dql[:, :, 1]
-    gr_e1 += g_dr[:, :, 0]
-    gr_e2 += g_dr[:, :, 1]
-    scatter_edge_grads(grad_l, F, gl_e1, gl_e2)
-    scatter_edge_grads(grad_r, F, gr_e1, gr_e2)
+    scatter_edge_grads(
+        grad_l, F, gl_e1 + da1 + g_dq[:, :, 0], gl_e2 + da2 + g_dq[:, :, 1]
+    )
+    scatter_edge_grads(grad_r, F, g_dr[:, :, 0], g_dr[:, :, 1])
     return value, grad_l, grad_r

@@ -102,8 +102,10 @@ def pca(samples, k, center=True):
     """Top-k principal directions of a list of tangent samples.
 
     With centering on, the sample mean is removed first.  The sign of each
-    component is fixed by making its largest-magnitude entry positive, which
-    keeps results reproducible across SVD implementations.
+    component is fixed by making positive its first entry whose magnitude is
+    within a relative 1e-3 of the largest, which keeps results reproducible
+    across SVD implementations and across rounding: on mirror-symmetric
+    samples the largest entries tie with opposite signs.
     """
     if len(samples) < 2:
         raise ValueError(f"PCA needs at least 2 samples, got {len(samples)}")
@@ -114,7 +116,9 @@ def pca(samples, k, center=True):
     centered = data - mean
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)
     components = vt[:k]
-    flips = np.sign(components[np.arange(k), np.argmax(np.abs(components), axis=1)])
+    mags = np.abs(components)
+    lead = np.argmax(mags >= (1.0 - 1e-3) * mags.max(axis=1, keepdims=True), axis=1)
+    flips = np.sign(components[np.arange(k), lead])
     flips[flips == 0] = 1.0
     return PCAResult(mean=mean, components=components * flips[:, None], singular_values=sv[:k])
 

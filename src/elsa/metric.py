@@ -15,10 +15,12 @@ Laplacian.  The four first-order terms penalize shearing, stretching, bending
 and in-plane rotation respectively.
 
 :func:`h2_inner` evaluates the polarized analytic form; :func:`path_energy`
-evaluates the discrete geodesic energy of a mesh path, where the variations
-are finite differences between consecutive meshes and all foot-point
+evaluates the discrete geodesic energy of a mesh path, where all foot-point
 quantities (areas, inverse metric tensors, Laplacian weights) are taken at
-the left endpoint of each step.
+the left endpoint ``q`` of each step.  A step's energy is the analytic form
+at ``u = r - q`` with ``du^T du`` added to the symmetric part of ``dg``, so
+that it becomes the finite difference ``dr^T dr - dq^T dq``; only the normal
+term is a finite difference of its own, between unit normals.
 """
 
 from __future__ import annotations
@@ -239,6 +241,7 @@ def path_energy(meshes, coefficients):
     ``E = T * sum_t G_{q_t}(q_{t+1} - q_t)`` where the metric-tensor and
     normal variations are finite differences between consecutive meshes and
     all weights are evaluated at the left endpoint (forward convention).
+    Each step's value comes from the call that also forms its gradients.
     """
     meshes = list(meshes)
     if len(meshes) < 2:

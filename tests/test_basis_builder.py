@@ -55,6 +55,21 @@ def test_shape_tangent_of_translation_is_constant_field():
     assert np.max(np.abs(tangent - shift)) < 1e-6
 
 
+def test_shape_tangents_skips_failed_geodesic():
+    from elsa.solvers import OptimizerConfig
+
+    template = syn.icosphere(1)
+    stretched = syn.scale_vertices(template, 1.1, 1.0, 1.0)
+    # at T=2 the linear start to the point reflection is degenerate
+    reflected = template.with_vertices(-template.vertices)
+    with pytest.warns(UserWarning, match="skipping training mesh 2"):
+        samples = shape_tangents(
+            [template, stretched, reflected], 0, BODY, time_steps=2,
+            config=OptimizerConfig(max_iterations=5),
+        )
+    assert [s.provenance for s in samples] == ["mesh[1]"]
+
+
 def test_shape_tangents_topology_mismatch():
     with pytest.raises(MeshError):
         shape_tangents([syn.icosphere(1), syn.icosphere(2)], 0, BODY)
@@ -132,6 +147,27 @@ def test_pca_deterministic_sign():
     assert np.array_equal(r1.components, r2.components)
     for comp in r1.components:
         assert comp[np.argmax(np.abs(comp))] > 0
+
+
+def test_pca_sign_stable_on_tied_entries():
+    # entries 0 and 3 are the x coordinates of two mirrored vertices, so the
+    # leading component's largest entries tie with opposite signs; rounding-
+    # level changes that break the tie either way must not flip a component
+    rng = np.random.default_rng(6)
+    rows = 0.1 * rng.standard_normal((6, 3 * 4))
+    t = rng.standard_normal(6)
+    rows[:, 0] = t
+    rows[:, 3] = -t
+    results = []
+    for eps in (1e-12, -1e-12):
+        perturbed = rows.copy()
+        perturbed[:, 0] *= 1.0 + eps
+        results.append(pca(_samples_from_rows(perturbed), k=3))
+    lead = np.abs(results[0].components[0])
+    assert set(np.argsort(lead)[-2:]) == {0, 3}
+    assert lead[0] == pytest.approx(lead[3], rel=1e-9)
+    agree = np.sum(results[0].components * results[1].components, axis=1)
+    assert np.all(agree > 0.99)
 
 
 def test_pca_input_validation():

@@ -6,6 +6,8 @@ and the discrete path-step energy's two-sided gradients.  Any sign or factor
 slip in the adjoint algebra shows up here as an O(1) mismatch.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,29 @@ def test_step_energy_gradients_full_metric():
 
     _directional_match(fun_r, grad_r, vr.copy(), rng)
     _directional_match(fun_l, grad_l, left.vertices.copy(), rng)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [ONE_HOTS[0], ONE_HOTS[4], ONE_HOTS[5], MetricCoefficients(1.0, 0, 0, 0, 1.0, 1.0)],
+    ids=["a0", "d1", "a2", "a0+d1+a2"],
+)
+def test_step_energy_is_analytic_form_without_finite_differences(coeffs):
+    # the a0, d1 and a2 variations of a step are linear in u = r - q, so the
+    # step energy is the analytic G_q(u, u) and its two gradients sum to the
+    # analytic foot-point gradient
+    rng = np.random.default_rng(300)
+    mesh = syn.bumpy_mesh(35, seed=3, bump=0.05)
+    u = 0.1 * rng.standard_normal(mesh.vertices.shape)
+    geom = _geometry(mesh)
+
+    value, grad_l, grad_r = step_energy_discrete_with_grads(geom, mesh.vertices + u, coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one-hot weights are degenerate
+        analytic = h2_inner(mesh, u, u, coeffs, geometry=geom)
+    assert value == pytest.approx(analytic, rel=1e-12)
+    expected = h2_vertex_gradient(geom, u, u, coeffs)
+    assert np.max(np.abs(grad_l + grad_r - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_step_energy_zero_at_rest():

@@ -497,6 +497,13 @@ def test_parametrized_sphere_to_ellipsoid_improves():
     assert e_opt < e_lin
 
 
+def test_parametrized_degenerate_start_raises():
+    # the linear start's midpoint collapses every vertex onto the origin
+    mesh = syn.icosphere(1)
+    with pytest.raises(SolverFailure, match="initial point"):
+        parametrized_geodesic(mesh, mesh.with_vertices(-mesh.vertices), 2, BODY)
+
+
 def test_parametrized_topology_mismatch():
     with pytest.raises(MeshError):
         parametrized_geodesic(syn.icosphere(1), syn.icosphere(2), 3, BODY)
