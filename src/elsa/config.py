@@ -8,7 +8,7 @@ configuration next to a run's outputs so the run can be reproduced from it.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .metric import MetricCoefficients
@@ -57,12 +57,8 @@ def load_config(path):
     if parser.has_section("metric"):
         m = parser["metric"]
         cfg.coefficients = MetricCoefficients(
-            a0=m.getfloat("a0", 1.0),
-            a1=m.getfloat("a1", 1000.0),
-            b1=m.getfloat("b1", 100.0),
-            c1=m.getfloat("c1", 1.0),
-            d1=m.getfloat("d1", 1.0),
-            a2=m.getfloat("a2", 1.0),
+            **{f.name: m.getfloat(f.name, getattr(cfg.coefficients, f.name))
+               for f in fields(MetricCoefficients)}
         )
     if parser.has_section("varifold"):
         cfg.sigma = parser["varifold"].getfloat("sigma", cfg.sigma)
@@ -78,10 +74,11 @@ def load_config(path):
         s = parser["solver"]
         cfg.time_steps = s.getint("time_steps", cfg.time_steps)
         cfg.ivp_steps = s.getint("ivp_steps", cfg.ivp_steps)
+        opt = cfg.optimizer
         cfg.optimizer = OptimizerConfig(
-            max_iterations=s.getint("max_iterations", 500),
-            gradient_tolerance=s.getfloat("gradient_tolerance", 1e-8),
-            memory=s.getint("memory", 10),
+            max_iterations=s.getint("max_iterations", opt.max_iterations),
+            gradient_tolerance=s.getfloat("gradient_tolerance", opt.gradient_tolerance),
+            memory=s.getint("memory", opt.memory),
         )
     if parser.has_section("latent"):
         s = parser["latent"]

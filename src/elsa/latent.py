@@ -151,7 +151,7 @@ def gram(basis, alpha, coefficients, geometry=None):
                     out += b * product(np.einsum("pmaa->pm", GX))
                 del GX
         if c1:
-            out += c1 * product(root_area[:, 0] * _normal_variation(fr, dh))
+            out += c1 * product(root_area[:, 0] * _normal_variation(fr, dh)[0])
     if a2:
         lap = geom.lap @ H.transpose(1, 0, 2).reshape(N, 3 * P)
         out += a2 * product((root_vol[:, None] * lap.reshape(N, P, 3)).transpose(1, 0, 2))

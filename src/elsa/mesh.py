@@ -5,6 +5,12 @@ index array of shape ``(M, 3)``.  Vertex fields (tangent vectors to the mesh,
 one 3-vector per vertex) are plain ``(N, 3)`` float arrays aligned with the
 vertex list.
 
+Per-face geometry (edges, fundamental forms, unit normals, areas and the
+zero-area check) is formed in one place, :func:`face_frames`; areas,
+varifold atoms, cotangents and vertex volumes are read from it.  Values per
+face corner (vertex-volume shares, gradient contributions) are summed onto
+the vertices by one scatter, :func:`scatter_corners`.
+
 Conventions used throughout the package:
 
 * face areas are true triangle areas, ``area = 0.5 * |e01 x e02|``;
@@ -169,10 +175,21 @@ def face_corners(mesh):
 
 
 def face_areas(mesh):
-    """True triangle areas, ``0.5 * |e01 x e02|`` per face."""
-    v0, v1, v2 = face_corners(mesh)
-    cross = np.cross(v1 - v0, v2 - v0)
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    """True triangle areas, ``0.5 * |e01 x e02|`` per face (of :func:`face_frames`)."""
+    return face_frames(mesh).area
+
+
+def scatter_corners(faces, values, n_vertices):
+    """Sum per-face-corner values onto the vertices.
+
+    ``values[f, k]``, a scalar or a row, is added to vertex ``faces[f, k]``;
+    vertices in no face get zero.  The sum runs corner by corner (every
+    face's corner 0 first), in face order within a corner.
+    """
+    idx = faces.T.ravel()
+    cols = np.reshape(values, faces.shape + (-1,)).transpose(2, 1, 0)
+    out = [np.bincount(idx, weights=c.ravel(), minlength=n_vertices) for c in cols]
+    return np.stack(out, axis=-1).reshape((n_vertices,) + np.shape(values)[2:])
 
 
 def vertex_volumes(mesh, areas=None):
@@ -183,15 +200,16 @@ def vertex_volumes(mesh, areas=None):
     """
     if areas is None:
         areas = face_areas(mesh)
-    vol = np.zeros(mesh.n_vertices)
-    share = areas / 3.0
-    for k in range(3):
-        np.add.at(vol, mesh.faces[:, k], share)
-    return vol
+    share = np.repeat(areas[:, None] / 3.0, 3, axis=1)
+    return scatter_corners(mesh.faces, share, mesh.n_vertices)
 
 
 def face_frames(mesh):
-    """Edge matrices, fundamental forms, unit normals and areas per face."""
+    """Edge matrices, fundamental forms, unit normals and areas per face.
+
+    The one place that forms per-face geometry; raises ``DegenerateFaceError``
+    on a zero-area face.
+    """
     v0, v1, v2 = face_corners(mesh)
     e1 = v1 - v0
     e2 = v2 - v0
@@ -205,30 +223,29 @@ def face_frames(mesh):
     return FaceFrames(dq=dq, g=g, n=n, area=0.5 * norm)
 
 
-def face_samples(mesh):
-    """Barycenters, unit normals and areas per face (varifold atoms)."""
+def face_samples(mesh, frames=None):
+    """Barycenters, unit normals and areas per face (varifold atoms).
+
+    Normals and areas are those of ``frames``, by default
+    :func:`face_frames` of the mesh; only the barycenters are formed here.
+    """
+    fr = face_frames(mesh) if frames is None else frames
     v0, v1, v2 = face_corners(mesh)
-    centers = (v0 + v1 + v2) / 3.0
-    cross = np.cross(v1 - v0, v2 - v0)
-    norm = np.linalg.norm(cross, axis=1)
-    if np.any(norm <= 0.0):
-        raise DegenerateFaceError("zero-area face", int(np.flatnonzero(norm <= 0.0)[0]))
-    return FaceSamples(centers=centers, normals=cross / norm[:, None], areas=0.5 * norm)
+    return FaceSamples(centers=(v0 + v1 + v2) / 3.0, normals=fr.n, areas=fr.area)
 
 
-def face_cotangents(mesh):
-    """Cotangents of the three interior angles per face.
+def face_cotangents(frames):
+    """Cotangents of the three interior angles per face, from its frames.
 
     Column ``k`` holds the cotangent of the angle at corner ``k``; the angle
     at a corner is opposite the edge joining the other two corners.  Negative
     cotangents of obtuse angles are kept as-is.
     """
-    v0, v1, v2 = face_corners(mesh)
-    e1 = v1 - v0
-    e2 = v2 - v0
-    s = np.linalg.norm(np.cross(e1, e2), axis=1)
-    if np.any(s <= 0.0):
-        raise DegenerateFaceError("zero-area face", int(np.flatnonzero(s <= 0.0)[0]))
+    # einsum may round row dots of strided views differently; contiguous edges
+    # give the cotangents of the gathered-edge formula bit for bit
+    e1 = np.ascontiguousarray(frames.dq[:, :, 0])
+    e2 = np.ascontiguousarray(frames.dq[:, :, 1])
+    s = 2.0 * frames.area
     cot0 = np.einsum("ij,ij->i", e1, e2) / s
     cot1 = np.einsum("ij,ij->i", e1, e1 - e2) / s
     cot2 = np.einsum("ij,ij->i", e2, e2 - e1) / s
@@ -239,15 +256,16 @@ def face_cotangents(mesh):
 _OPPOSITE = ((1, 2), (2, 0), (0, 1))
 
 
-def cotan_laplacian(mesh):
+def cotan_laplacian(mesh, frames=None):
     """Sparse cotangent Laplacian ``L`` with ``(L h)_i = sum_j w_ij (h_i - h_j)``.
 
     ``w_ij`` sums the cotangents of the angles opposite the edge ``(i, j)``
     in its incident faces; boundary edges have a single incident face and
-    contribute one cotangent.
+    contribute one cotangent.  The cotangents come from ``frames``, by
+    default :func:`face_frames` of the mesh.
     """
     f = mesh.faces
-    cots = face_cotangents(mesh)
+    cots = face_cotangents(face_frames(mesh) if frames is None else frames)
     n = mesh.n_vertices
     rows, cols, vals = [], [], []
     for corner, (a, b) in enumerate(_OPPOSITE):

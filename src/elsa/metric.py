@@ -146,7 +146,7 @@ def _geometry(mesh):
         frames=frames,
         ginv=_inverse_2x2(frames.g),
         vol=vertex_volumes(mesh, areas=frames.area),
-        lap=cotan_laplacian(mesh),
+        lap=cotan_laplacian(mesh, frames),
     )
 
 
@@ -164,13 +164,18 @@ def _field_differential(faces, h):
 
 
 def _normal_variation(frames, dh):
-    """Analytic variation of the unit normal along fields with differentials dh."""
+    """Analytic variation of the unit normal along fields with differentials dh.
+
+    Returns ``(dn, w)``: ``w = dh_1 x e2 + e1 x dh_2`` is the variation of
+    the edge cross product ``e1 x e2`` and ``dn`` its tangential part over
+    ``|e1 x e2|``.
+    """
     e1 = frames.dq[:, :, 0]
     e2 = frames.dq[:, :, 1]
     w = np.cross(dh[..., 0], e2) + np.cross(e1, dh[..., 1])
     n = frames.n
     s = 2.0 * frames.area
-    return (w - n * np.einsum("ij,...ij->...i", n, w)[..., None]) / s[:, None]
+    return (w - n * np.einsum("ij,...ij->...i", n, w)[..., None]) / s[:, None], w
 
 
 def metric_terms(mesh, h, geometry=None):
@@ -180,7 +185,7 @@ def metric_terms(mesh, h, geometry=None):
     dh = _field_differential(mesh.faces, h)
     dg = np.einsum("mia,mib->mab", geom.frames.dq, dh)
     dg = dg + dg.transpose(0, 2, 1)
-    dn = _normal_variation(geom.frames, dh)
+    dn, _ = _normal_variation(geom.frames, dh)
     return MetricTerms(dg=dg, dn=dn, dh=dh, lap=geom.lap @ h)
 
 

@@ -5,8 +5,8 @@ All variational problems funnel through one quasi-Newton engine
 Objectives return ``(value, gradient)``; gradients are assembled analytically
 from the metric/varifold vertex gradients.  Mesh degeneracies encountered
 during a line search surface as non-finite objective values, which the
-search treats as "step too far" and halves away from (up to a configured
-number of times) before giving up.
+search treats as "step too far" and halves away from (up to
+``MAX_STEP_HALVINGS`` times) before giving up.
 
 The shooting solver (:func:`geodesic_ivp`) advances a discrete geodesic by
 requiring each knot to be the geodesic midpoint of its neighbors: every step
@@ -29,6 +29,13 @@ from .metric import _geometry
 from .varifold import VarifoldConfig, VarifoldTarget, varifold_sqdist_to, varifold_value_and_grad
 
 
+#: strong-Wolfe sufficient-decrease and curvature constants of the line search
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+#: step halvings (and zoom steps) before a line search gives up
+MAX_STEP_HALVINGS = 30
+
+
 class SolverFailure(RuntimeError):
     """An optimization run could not produce a usable result."""
 
@@ -40,9 +47,6 @@ class OptimizerConfig:
     max_iterations: int = 500
     gradient_tolerance: float = 1e-8
     memory: int = 10
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_step_halvings: int = 30
 
     def __post_init__(self):
         if self.max_iterations < 1 or self.memory < 1:
@@ -136,9 +140,8 @@ def _finite(f, g):
     return np.isfinite(f) and g is not None and np.all(np.isfinite(g))
 
 
-def _zoom(phi, lo, f_lo, der_lo, g_lo, hi, f_hi, f0, derphi0, cfg):
-    c1, c2 = cfg.wolfe_c1, cfg.wolfe_c2
-    for _ in range(cfg.max_step_halvings):
+def _zoom(phi, lo, f_lo, der_lo, g_lo, hi, f_hi, f0, derphi0):
+    for _ in range(MAX_STEP_HALVINGS):
         span = hi - lo
         if abs(der_lo * span) <= np.finfo(float).eps * abs(f0):
             break  # no step in the bracket changes f by more than its rounding
@@ -155,10 +158,10 @@ def _zoom(phi, lo, f_lo, der_lo, g_lo, hi, f_hi, f0, derphi0, cfg):
         if a is None:
             a = 0.5 * (lo + hi)
         fa, ga, dera = phi(a)
-        if not np.isfinite(fa) or fa > f0 + c1 * a * derphi0 or fa >= f_lo:
+        if not np.isfinite(fa) or fa > f0 + WOLFE_C1 * a * derphi0 or fa >= f_lo:
             hi, f_hi = a, fa
             continue
-        if abs(dera) <= -c2 * derphi0:
+        if abs(dera) <= -WOLFE_C2 * derphi0:
             return a, fa, ga
         if dera * (hi - lo) >= 0:
             hi, f_hi = lo, f_lo
@@ -169,7 +172,7 @@ def _zoom(phi, lo, f_lo, der_lo, g_lo, hi, f_hi, f0, derphi0, cfg):
 
 
 def _line_search(fun, x, f0, g0, d, cfg):
-    c1, c2 = cfg.wolfe_c1, cfg.wolfe_c2
+    """Strong-Wolfe ``(step, value, gradient)`` along ``d`` or ``None``; ``cfg`` is not read."""
     derphi0 = float(g0 @ d)
     if derphi0 >= 0:
         return None
@@ -182,7 +185,7 @@ def _line_search(fun, x, f0, g0, d, cfg):
 
     a_prev, f_prev, der_prev, g_prev = 0.0, f0, derphi0, g0
     a = 1.0
-    for _ in range(cfg.max_step_halvings):
+    for _ in range(MAX_STEP_HALVINGS):
         fa, ga, dera = phi(a)
         if np.isfinite(fa):
             break
@@ -190,17 +193,17 @@ def _line_search(fun, x, f0, g0, d, cfg):
     else:
         return None
     for it in range(30):
-        if fa > f0 + c1 * a * derphi0 or (it > 0 and fa >= f_prev):
-            return _zoom(phi, a_prev, f_prev, der_prev, g_prev, a, fa, f0, derphi0, cfg)
-        if abs(dera) <= -c2 * derphi0:
+        if fa > f0 + WOLFE_C1 * a * derphi0 or (it > 0 and fa >= f_prev):
+            return _zoom(phi, a_prev, f_prev, der_prev, g_prev, a, fa, f0, derphi0)
+        if abs(dera) <= -WOLFE_C2 * derphi0:
             return a, fa, ga
         if dera >= 0:
-            return _zoom(phi, a, fa, dera, ga, a_prev, f_prev, f0, derphi0, cfg)
+            return _zoom(phi, a, fa, dera, ga, a_prev, f_prev, f0, derphi0)
         a_prev, f_prev, der_prev, g_prev = a, fa, dera, ga
         a *= 2.0
         fa, ga, dera = phi(a)
         if not np.isfinite(fa):
-            return _zoom(phi, a_prev, f_prev, der_prev, g_prev, a, fa, f0, derphi0, cfg)
+            return _zoom(phi, a_prev, f_prev, der_prev, g_prev, a, fa, f0, derphi0)
     return None
 
 

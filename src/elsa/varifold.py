@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._diff import area_edge_grads, normal_edge_grads, scatter_edge_grads
-from .mesh import FaceSamples, TriangleMesh, face_samples
+from ._diff import area_edge_grads, edge_corners, normal_edge_grads
+from .mesh import FaceSamples, TriangleMesh, face_frames, face_samples, scatter_corners
 
 #: number of source atoms per block in pair sums (bounds memory, fixes the
 #: reduction order so results do not depend on how work is split)
@@ -145,7 +145,8 @@ def _matching_terms(a, sb, sigma):
     The chain rule runs through barycenters (uniform thirds), unit normals
     and areas of the faces of ``a``; the atoms ``sb`` of ``b`` are fixed.
     """
-    sa = face_samples(a)
+    fr = face_frames(a)
+    sa = face_samples(a, fr)
     # d<a,a>/datom carries a factor 2 by symmetry of the kernel
     aa, gc, gn, ga = _pair_pass(
         sa.centers, sa.normals, sa.areas, sa.centers, sa.normals, sa.areas, sigma
@@ -157,19 +158,10 @@ def _matching_terms(a, sb, sigma):
     gn = 2.0 * gn - 2.0 * gn2
     ga = 2.0 * ga - 2.0 * ga2
 
-    f = a.faces
-    v = a.vertices
-    grad = np.zeros_like(v)
-    third = gc / 3.0
-    for k in range(3):
-        np.add.at(grad, f[:, k], third)
-    e1 = v[f[:, 1]] - v[f[:, 0]]
-    e2 = v[f[:, 2]] - v[f[:, 0]]
-    s = 2.0 * sa.areas
-    ge1, ge2 = normal_edge_grads(e1, e2, sa.normals, s, gn)
-    da1, da2 = area_edge_grads(e1, e2, sa.normals, ga)
-    scatter_edge_grads(grad, f, ge1 + da1, ge2 + da2)
-    return aa - 2.0 * ab, grad
+    g_dq = normal_edge_grads(fr.dq, fr.n, 2.0 * fr.area, gn) + area_edge_grads(fr.dq, fr.n, ga)
+    # a barycenter moves by a third of each corner's displacement
+    corners = (gc / 3.0)[:, None] + edge_corners(g_dq)
+    return aa - 2.0 * ab, scatter_corners(a.faces, corners, a.n_vertices)
 
 
 def varifold_grad(a, b, config):

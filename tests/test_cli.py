@@ -85,6 +85,18 @@ def test_config_round_trip(tmp_path):
     assert back.coefficients == cfg.coefficients
 
 
+def test_load_config_partial_sections_keep_defaults(tmp_path):
+    path = tmp_path / "partial.ini"
+    path.write_text("[metric]\na1 = 7.5\n\n[solver]\ntime_steps = 3\n")
+    cfg = load_config(path)
+    defaults = RunConfig()
+    assert cfg.time_steps == 3
+    assert cfg.optimizer == defaults.optimizer
+    assert cfg.coefficients.a1 == 7.5
+    for name in ("a0", "b1", "c1", "d1", "a2"):
+        assert getattr(cfg.coefficients, name) == getattr(defaults.coefficients, name)
+
+
 def test_shipped_configs_parse():
     root = Path(__file__).resolve().parents[1]
     bodies = load_config(root / "configs" / "bodies.ini")

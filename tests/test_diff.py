@@ -145,6 +145,18 @@ def test_step_energy_is_analytic_form_without_finite_differences(coeffs):
     assert np.max(np.abs(grad_l + grad_r - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def test_h2_vertex_gradient_same_field_equals_copy():
+    # v is u reuses the first field's differential, trace-form part and
+    # normal variation; the result must not depend on that shortcut
+    rng = np.random.default_rng(400)
+    mesh = syn.bumpy_mesh(35, seed=4, bump=0.05)
+    u = 0.3 * rng.standard_normal(mesh.vertices.shape)
+    geom = _geometry(mesh)
+    assert np.array_equal(
+        h2_vertex_gradient(geom, u, u, BODY), h2_vertex_gradient(geom, u, u.copy(), BODY)
+    )
+
+
 def test_step_energy_zero_at_rest():
     mesh = syn.icosphere(1)
     value, grad_l, grad_r = step_energy_discrete_with_grads(

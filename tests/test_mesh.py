@@ -15,7 +15,13 @@ from elsa import (
     save_mesh,
     vertex_volumes,
 )
-from elsa.mesh import MeshError, mesh_edges
+from elsa.mesh import (
+    MeshError,
+    face_corners,
+    face_cotangents,
+    mesh_edges,
+    scatter_corners,
+)
 
 import synthetic as syn
 
@@ -166,9 +172,51 @@ def test_vertex_volumes_sum_to_area():
     assert vertex_volumes(mesh).sum() == pytest.approx(face_areas(mesh).sum(), rel=1e-10)
 
 
+def test_face_areas_reject_zero_area_face():
+    flat = TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]], validate=False)
+    with pytest.raises(DegenerateFaceError):
+        face_areas(flat)
+
+
+def test_scatter_corners_matches_loop_oracle():
+    mesh = syn.bumpy_mesh(30, seed=5)
+    n = mesh.n_vertices + 1  # the last vertex is in no face
+    rng = np.random.default_rng(11)
+    for row in ((), (3,)):
+        values = rng.standard_normal(mesh.faces.shape + row)
+        expected = np.zeros((n,) + row)
+        for k in range(3):
+            for f, i in enumerate(mesh.faces[:, k]):
+                expected[i] += values[f, k]
+        got = scatter_corners(mesh.faces, values, n)
+        assert np.array_equal(got, expected)
+        assert np.all(got[-1] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # face frames
 # ---------------------------------------------------------------------------
+
+
+def test_frames_are_the_geometry_of_samples_and_cotangents():
+    for mesh in (syn.icosphere(3), syn.bumpy_mesh(30, seed=5)):
+        fr = face_frames(mesh)
+        s = face_samples(mesh)
+        assert np.array_equal(s.normals, fr.n)
+        assert np.array_equal(s.areas, fr.area)
+        # cotangents from the gathered edges, as a direct formula
+        v0, v1, v2 = face_corners(mesh)
+        e1, e2 = v1 - v0, v2 - v0
+        twice_area = np.linalg.norm(np.cross(e1, e2), axis=1)
+        direct = np.stack(
+            [
+                np.einsum("ij,ij->i", e1, e2) / twice_area,
+                np.einsum("ij,ij->i", e1, e1 - e2) / twice_area,
+                np.einsum("ij,ij->i", e2, e2 - e1) / twice_area,
+            ],
+            axis=1,
+        )
+        assert np.array_equal(face_cotangents(fr), direct)
 
 
 def test_frames_unit_right_triangle():
