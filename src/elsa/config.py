@@ -103,7 +103,11 @@ def load_config(path):
 
 
 def save_config(cfg, path):
-    """Write the effective configuration as an INI file."""
+    """Write the effective configuration as an INI file.
+
+    The basis path is written absolute, since :func:`load_config` reads a
+    relative one against the directory of the INI file it reads.
+    """
     parser = configparser.ConfigParser()
     c = cfg.coefficients
     parser["mesh"] = {"normalize": str(cfg.normalize).lower()}
@@ -124,7 +128,7 @@ def save_config(cfg, path):
         "memory": str(cfg.optimizer.memory),
     }
     parser["latent"] = {
-        "basis": cfg.basis_path,
+        "basis": str(Path(cfg.basis_path).absolute()) if cfg.basis_path else "",
         "n_shape": str(cfg.n_shape),
         "n_pose": str(cfg.n_pose),
     }

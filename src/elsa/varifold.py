@@ -10,16 +10,25 @@ summed with area weights over all face pairs.  The squared distance
 blind to vertex ordering, face ordering and (through the squared cosine)
 to orientation flips.  The gradient with respect to the vertex positions of
 the first mesh is assembled analytically; no kernel approximation is used,
-pair sums run exactly in fixed-size blocks.
+pair sums run exactly in fixed-size blocks of first-mesh atoms.
+
+Each block of the kernel is formed in place: one matrix product gives the
+exponent, which is clamped, exponentiated and multiplied by the cosines
+without a temporary, and the block is then reduced against the second
+mesh's area-weighted atoms.  The pair sum and all three atom gradients come
+out of these reductions as matrix products (see :func:`_pair_pass`).
 
 A mesh matched against a fixed one over many evaluations (the data term of
 the relaxed solvers) is compared with a :class:`VarifoldTarget`: the fixed
 mesh's atoms and its ``<b,b>``, computed once per kernel scale.
 :func:`varifold_value_and_grad` then makes two blockwise passes, a-a and
 a-b; each returns its pair sum and the atom gradients from the same kernel
-block.  Sums accumulate in the same blocks and order as in
-:func:`varifold_sqdist`, so value and gradient are bit-identical to it and
-to :func:`varifold_grad`.
+blocks.  A pass's sum is formed from the same products as the plain pair
+sum, so :func:`varifold_value_and_grad` is bit-identical to
+:func:`varifold_sqdist` and :func:`varifold_grad`.  A sum in another order,
+such as one over the direct differences ``c_a - c_b``, agrees to rounding
+only; the center gradient differs most, through cancellation in the
+expanded exponent (about 1e-13 of its largest entry).
 """
 
 from __future__ import annotations
@@ -47,25 +56,51 @@ class VarifoldConfig:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
-def _sq_distances(ca, cb):
-    """Pairwise squared center distances via the Gram expansion."""
-    d2 = (
-        np.einsum("ij,ij->i", ca, ca)[:, None]
-        + np.einsum("ij,ij->i", cb, cb)[None, :]
-        - 2.0 * (ca @ cb.T)
-    )
-    return np.maximum(d2, 0.0)
+def _kernel_products(ca, na, cb, nb, ab, sigma, normals=True):
+    """Kernel reductions of the atoms of a against the area-weighted atoms of b.
+
+    With E = exp(-|c_a - c_b|^2 / sigma^2), D = n_a . n_b and the kernel
+    K = E D^2, returns ``K @ [a_b, a_b c_b]`` (one row of 4 per atom of a)
+    and, if ``normals``, ``(E D) @ (a_b n_b)`` (one row of 3), else None.
+
+    The atoms of a run in blocks of ``_BLOCK``.  Each block's exponent is one
+    matrix product of the lifted centers (2 c_a / sigma^2, -|c_a|^2 / sigma^2,
+    -1) and (c_b, 1, |c_b|^2 / sigma^2), clamped at zero against cancellation;
+    it is exponentiated and multiplied by the cosines in place, in two
+    (block, n_b) buffers that every block reuses.
+    """
+    inv_s2 = 1.0 / sigma**2
+    sq_a = inv_s2 * np.einsum("ij,ij->i", ca, ca)
+    sq_b = inv_s2 * np.einsum("ij,ij->i", cb, cb)
+    xa = np.column_stack([2.0 * inv_s2 * ca, -sq_a, -np.ones_like(sq_a)])
+    xb = np.column_stack([cb, np.ones_like(sq_b), sq_b])
+    wb = np.column_stack([ab, ab[:, None] * cb])
+    wn = ab[:, None] * nb if normals else None
+    n = ca.shape[0]
+    expo = np.empty((min(n, _BLOCK), cb.shape[0]))
+    kern = np.empty_like(expo)
+    kw = np.empty((n, 4))
+    en = np.empty((n, 3)) if normals else None
+    for start in range(0, n, _BLOCK):
+        sl = slice(start, min(start + _BLOCK, n))
+        e = expo[: sl.stop - start]
+        k = kern[: sl.stop - start]
+        np.matmul(xa[sl], xb.T, out=e)
+        np.minimum(e, 0.0, out=e)
+        np.exp(e, out=e)
+        np.matmul(na[sl], nb.T, out=k)
+        e *= k  # E D
+        k *= e  # K = E D^2
+        np.matmul(k, wb, out=kw[sl])
+        if normals:
+            np.matmul(e, wn, out=en[sl])
+    return kw, en
 
 
 def _pair_sum(ca, na, aa, cb, nb, ab, sigma):
     """sum_{f, f'} k(atoms_a[f], atoms_b[f']) * area_a[f] * area_b[f']."""
-    inv_s2 = 1.0 / sigma**2
-    total = 0.0
-    for start in range(0, ca.shape[0], _BLOCK):
-        sl = slice(start, start + _BLOCK)
-        kern = np.exp(-_sq_distances(ca[sl], cb) * inv_s2) * (na[sl] @ nb.T) ** 2
-        total += float(aa[sl] @ kern @ ab)
-    return total
+    kw, _ = _kernel_products(ca, na, cb, nb, ab, sigma, normals=False)
+    return float(aa @ kw[:, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,27 +151,19 @@ def _pair_pass(ca, na, aa, cb, nb, ab, sigma):
     """Pair sum and its gradients w.r.t. the atoms of the first mesh.
 
     Returns ``(sum, d/d_center, d/d_normal, d/d_area)``, the gradients per
-    face.  Each block's kernel serves both; the sum accumulates as in
-    :func:`_pair_sum`.
+    face, from one pass of :func:`_kernel_products` over the blocks:
+
+        d/d_area   = K a_b
+        d/d_center = -(2 / sigma^2) a_a * ((K a_b) c_a - K (a_b c_b))
+        d/d_normal = 2 a_a * ((E D) (a_b n_b))
+
+    The sum is ``a_a . (K a_b)`` from the same products as in
+    :func:`_pair_sum`, so the two sums are bit-identical.
     """
-    inv_s2 = 1.0 / sigma**2
-    total = 0.0
-    gc = np.zeros_like(ca)
-    gn = np.zeros_like(na)
-    ga = np.zeros_like(aa)
-    for start in range(0, ca.shape[0], _BLOCK):
-        sl = slice(start, start + _BLOCK)
-        dot = na[sl] @ nb.T
-        expo = np.exp(-_sq_distances(ca[sl], cb) * inv_s2)
-        kern = expo * dot**2
-        total += float(aa[sl] @ kern @ ab)
-        w = aa[sl, None] * ab[None, :]
-        kw = kern * w
-        row = kw.sum(axis=1)
-        gc[sl] = -2.0 * inv_s2 * (row[:, None] * ca[sl] - kw @ cb)
-        gn[sl] = (2.0 * expo * dot * w) @ nb
-        ga[sl] = kern @ ab
-    return total, gc, gn, ga
+    kw, en = _kernel_products(ca, na, cb, nb, ab, sigma)
+    ka = kw[:, 0]
+    gc = (-2.0 / sigma**2) * aa[:, None] * (ka[:, None] * ca - kw[:, 1:])
+    return float(aa @ ka), gc, 2.0 * aa[:, None] * en, ka
 
 
 def _matching_terms(a, sb, sigma):

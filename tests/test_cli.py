@@ -85,6 +85,21 @@ def test_config_round_trip(tmp_path):
     assert back.coefficients == cfg.coefficients
 
 
+def test_saved_config_finds_the_basis_it_was_loaded_with(tmp_path, monkeypatch):
+    # a relative basis is read against the INI's directory; the effective
+    # config written elsewhere must name the same file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "basis.lsb").write_bytes(b"")
+    Path("configs/run.ini").write_text("[latent]\nbasis = basis.lsb\n")
+    cfg = load_config("configs/run.ini")
+    assert Path(cfg.basis_path).resolve() == (tmp_path / "configs" / "basis.lsb").resolve()
+    Path("out").mkdir()
+    save_config(cfg, "out/effective_config.ini")
+    back = load_config("out/effective_config.ini")
+    assert back.require_basis().resolve() == cfg.require_basis().resolve()
+
+
 def test_load_config_partial_sections_keep_defaults(tmp_path):
     path = tmp_path / "partial.ini"
     path.write_text("[metric]\na1 = 7.5\n\n[solver]\ntime_steps = 3\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from elsa import (
     varifold_sqdist_to,
     varifold_value_and_grad,
 )
-from elsa.varifold import _BLOCK
+from elsa.mesh import face_samples
+from elsa.varifold import _BLOCK, _pair_pass, _pair_sum
 
 import synthetic as syn
 
@@ -124,8 +127,6 @@ def test_translation_directional_derivative():
     grad = varifold_grad(a, b, CFG)
     got = float(grad.sum(axis=0) @ t)
 
-    from elsa.mesh import face_samples
-
     sa = face_samples(a)
     sb = face_samples(b)
     inv_s2 = 1.0 / CFG.sigma**2
@@ -183,6 +184,51 @@ def test_fused_gradient_matches_finite_differences():
         fd = (fun(a.vertices + eps * d) - fun(a.vertices - eps * d)) / (2 * eps)
         got = float(grad.ravel() @ d.ravel())
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-9 * max(1.0, abs(fd)))
+
+
+def _dense_pair_pass(sa, sb, sigma):
+    """Pair sum and atom gradients from the direct differences c_a - c_b."""
+    diff = sa.centers[:, None, :] - sb.centers[None, :, :]
+    expo = np.exp(-np.sum(diff**2, axis=2) / sigma**2)
+    dots = sa.normals @ sb.normals.T
+    w = sa.areas[:, None] * sb.areas[None, :]
+    kern = expo * dots**2
+    total = float(np.sum(kern * w))
+    gc = -2.0 / sigma**2 * np.sum((kern * w)[:, :, None] * diff, axis=1)
+    gn = (2.0 * expo * dots * w) @ sb.normals
+    ga = kern @ sb.areas
+    return total, gc, gn, ga
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3])
+@pytest.mark.parametrize("meshes", [
+    lambda: (syn.icosphere(2), syn.uv_sphere(26, 40)),  # one block of a
+    lambda: (syn.icosphere(3), syn.bumpy_mesh(560, seed=16)),  # two blocks of a
+])
+def test_pair_pass_matches_dense_oracle(meshes, sigma):
+    a, b = meshes()
+    sa, sb = face_samples(a), face_samples(b)
+    args = (sa.centers, sa.normals, sa.areas, sb.centers, sb.normals, sb.areas, sigma)
+    got = _pair_pass(*args)
+    want = _dense_pair_pass(sa, sb, sigma)
+    assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
+    for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
+    assert _pair_sum(*args) == got[0]
+
+
+def test_target_build_holds_at_most_three_blocks():
+    # 2000 faces at sigma = 0.1: two blocks of first-mesh atoms against 2000
+    mesh = syn.uv_sphere(26, 40)
+    assert _BLOCK < mesh.n_faces <= 2 * _BLOCK
+    tracemalloc.start()
+    try:
+        VarifoldTarget(mesh, VarifoldConfig(0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * _BLOCK * mesh.n_faces * 8
 
 
 # ---------------------------------------------------------------------------
