@@ -5,7 +5,7 @@ differentiated with respect to vertex positions:
 
 * the analytic metric inner product ``G_q(u, v)`` at a mesh ``q`` with the
   vertex fields ``u, v`` held fixed (the foot-point derivative used by the
-  latent-space path energy), and
+  latent-space path energy and by geodesic shooting), and
 * the discrete one-step path energy between a left mesh ``q`` and right
   vertex positions ``r``, with all weights on ``q``.  It is the analytic
   form at ``u = r - q`` with ``du^T du`` added to the symmetric part
@@ -19,22 +19,29 @@ Both share the per-face trace form of the a1, b1 and d1 terms
 :func:`mesh.face_frames`, the single source of per-face geometry.
 Gradients are assembled per face from a handful of adjoint channels (area,
 unit normal, edge matrix, vertex volume, cotangent weights) into one
-``(M, 3, 3)`` array of per-corner gradients, which the one scatter,
-:func:`mesh.scatter_corners`, sums onto the vertices.  Each channel is
-exercised against central finite differences by the test suite; the
-algebra is unforgiving, the tests are not optional.
+``(M, 3, 2)`` edge-matrix adjoint, which :func:`edge_corners` and the one
+scatter, :func:`mesh.scatter_corners`, sum onto the vertices.
+
+The face-local terms of the foot-point gradient (a1, b1, c1, d1 and their
+area channel, :func:`face_terms`) are linear in the second field's per-face
+differential, so their edge adjoint is one 6x6 block per face applied to
+it.  :func:`h2_gradient_pairing` builds the blocks from the six unit
+differentials and pairs whole stacks of fields with them: the Jacobian of
+a shooting step costs a fixed number of mesh passes, whatever the number of
+fields.  Each channel is exercised against central finite differences by
+the test suite; the algebra is unforgiving, the tests are not optional.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .mesh import _OPPOSITE, face_frames, scatter_corners
+from .mesh import _OPPOSITE, cross, face_cotangents, face_frames, scatter_corners
 from .metric import _field_differential, _normal_variation
 
 
 def _rowdot(a, b):
-    return np.einsum("ij,ij->i", a, b)
+    return np.einsum("...i,...i->...", a, b)
 
 
 def edge_corners(g_e):
@@ -46,13 +53,16 @@ def edge_corners(g_e):
 
 
 def cross_edge_grads(dq, p):
-    """Edge-matrix gradients of ``sum_f <p_f, e1_f x e2_f>`` for ``dq = [e1, e2]``."""
-    return np.stack([np.cross(dq[:, :, 1], p), np.cross(p, dq[:, :, 0])], axis=2)
+    """Edge-matrix gradients of ``sum_f <p_f, e1_f x e2_f>`` for ``dq = [e1, e2]``.
+
+    Either operand may carry leading axes, ``(..., M, 3, 2)`` and ``(..., M, 3)``.
+    """
+    return np.stack([cross(dq[..., 1], p), cross(p, dq[..., 0])], axis=-1)
 
 
 def area_edge_grads(dq, n, g_area):
-    """Edge-matrix gradients of ``sum_f g_area_f * area_f``."""
-    return cross_edge_grads(dq, 0.5 * g_area[:, None] * n)
+    """Edge-matrix gradients of ``sum_f g_area_f * area_f``; ``g_area`` may be ``(..., M)``."""
+    return cross_edge_grads(dq, 0.5 * g_area[..., None] * n)
 
 
 def normal_edge_grads(dq, n, s, g_n):
@@ -60,27 +70,47 @@ def normal_edge_grads(dq, n, s, g_n):
     return cross_edge_grads(dq, (g_n - n * _rowdot(n, g_n)[:, None]) / s[:, None])
 
 
-def add_cot_channel(corners, geom, lam):
-    """Accumulate gradients of ``sum_{f, corner} lam[f, corner] * cot(angle)`` on the corners.
+def cot_edge_grads(frames):
+    """Edge-matrix gradients ``(M, 3, 3, 2)`` of the three corner cotangents per face.
 
-    The angle at corner ``k`` spans the edges ``a``, ``b`` to the two other
-    corners in cyclic order, so ``a x b`` is the face's ``2 * area * n`` from
-    ``geom.frames``.  ``lam`` is typically the adjoint of the Laplacian edge
-    weight opposite that corner.
+    Corner ``k`` is column ``k`` of :func:`mesh.face_cotangents`: with
+    ``s = |e1 x e2|`` the cotangents are ``e1.e2 / s``, ``e1.(e1 - e2) / s``
+    and ``e2.(e2 - e1) / s``, and ``ds`` is the area channel's
+    ``[e2 x n, n x e1]``.
     """
-    x = geom.mesh.vertices[geom.mesh.faces]  # corner positions, (M, 3, 3)
-    s = 2.0 * geom.frames.area[:, None]
-    n = geom.frames.n
-    for corner, (ia, ib) in enumerate(_OPPOSITE):
-        a = x[:, ia] - x[:, corner]
-        b = x[:, ib] - x[:, corner]
-        lam_c = lam[:, corner][:, None]
-        q = lam_c * _rowdot(a, b)[:, None] / s**2
-        ga = lam_c * b / s - q * np.cross(b, n)
-        gb = lam_c * a / s - q * np.cross(n, a)
-        corners[:, ia] += ga
-        corners[:, ib] += gb
-        corners[:, corner] -= ga + gb
+    e1 = frames.dq[:, :, 0]
+    e2 = frames.dq[:, :, 1]
+    s = 2.0 * frames.area
+    dnum = np.stack([
+        np.stack([e2, e1], axis=-1),
+        np.stack([2.0 * e1 - e2, -e1], axis=-1),
+        np.stack([-e2, 2.0 * e2 - e1], axis=-1),
+    ], axis=1)
+    ds = cross_edge_grads(frames.dq, frames.n)
+    cot = face_cotangents(frames)
+    return (dnum - cot[:, :, None, None] * ds[:, None]) / s[:, None, None, None]
+
+
+def cot_channel(frames, lam):
+    """Edge-matrix gradients of ``sum_{f, corner} lam[f, corner] * cot(angle)``."""
+    return np.einsum("mc,mcij->mij", lam, cot_edge_grads(frames))
+
+
+def _vertex_thirds(faces, g_vol):
+    """Area adjoint of vertex-volume adjoints ``(N, ...)``: one third from each corner."""
+    return (g_vol[faces[:, 0]] + g_vol[faces[:, 1]] + g_vol[faces[:, 2]]) / 3.0
+
+
+def _dot3(a, b):
+    """Dot products over the coordinate axis of ``(K, 3, ...)`` arrays."""
+    return np.einsum("ic...,ic...->i...", a, b)
+
+
+def _edge_diff(x, i, j):
+    """Rows ``x[i] - x[j]``, with one gathered temporary."""
+    d = x[i]
+    d -= x[j]
+    return d
 
 
 def _laplacian_edge_lambda(faces, vol, u, lap_u, v, lap_v):
@@ -88,16 +118,17 @@ def _laplacian_edge_lambda(faces, vol, u, lap_u, v, lap_v):
 
     Corner ``k`` owns the cotangent feeding edge ``(i, j)``; its adjoint is
     ``(u_i - u_j).(vol_i (Lv)_i - vol_j (Lv)_j)`` plus the ``u <-> v`` term,
-    which is the same term again when ``v is u``.
+    which is the same term again when ``v is u``.  ``v`` and ``lap_v`` may
+    carry trailing axes, ``(N, 3, ...)``, and the result ``(M, 3, ...)``.
     """
-    lam = np.empty((faces.shape[0], 3))
-    wv = vol[:, None] * lap_v
+    lam = np.empty((faces.shape[0], 3) + v.shape[2:])
+    wv = vol.reshape((-1,) + (1,) * (v.ndim - 1)) * lap_v
     wu = wv if v is u else vol[:, None] * lap_u
     for corner, (ia, ib) in enumerate(_OPPOSITE):
         i = faces[:, ia]
         j = faces[:, ib]
-        t = _rowdot(u[i] - u[j], wv[i] - wv[j])
-        lam[:, corner] = t + (t if v is u else _rowdot(v[i] - v[j], wu[i] - wu[j]))
+        t = _dot3(u[i] - u[j], _edge_diff(wv, i, j))
+        lam[:, corner] = t + (t if v is u else _dot3(_edge_diff(v, i, j), wu[i] - wu[j]))
     return lam
 
 
@@ -105,41 +136,109 @@ def trace_form(G, X, Y, c, b):
     """Per-face ``c tr(G X G Y) + b tr(G X) tr(G Y)`` and its adjoint channels.
 
     ``X`` and ``Y`` are ``(M, 2, 2)`` stacks, both symmetric or both
-    antisymmetric, and ``G`` the inverse metric tensors.  Returns
-    ``(value, Ax, Ay, S)``: ``value = tr(X Ax) = tr(Y Ay)`` per face, where
+    antisymmetric, and ``G`` the inverse metric tensors; ``Y`` may carry
+    leading axes, ``(..., M, 2, 2)``.  Returns ``(value, Ax, Ay, S)``:
+    ``value = tr(X Ax) = tr(Y Ay)`` per face, where
     ``Ax = c G Y G + b tr(G Y) G`` and ``Ay`` likewise from ``X``, and
     ``S = G (X Ax + Y Ay)`` is the inverse-metric channel, ``d(G) = -G d(g) G``.
     """
 
     def adjoint(GZ):
-        return c * (GZ @ G) + b * np.trace(GZ, axis1=1, axis2=2)[:, None, None] * G
+        return c * (GZ @ G) + b * np.trace(GZ, axis1=-2, axis2=-1)[..., None, None] * G
 
     GX = G @ X
     if Y is X:
         Ax = Ay = adjoint(GX)
     else:
         Ax, Ay = adjoint(G @ Y), adjoint(GX)
-    value = np.einsum("mab,mba->m", X, Ax)
+    value = np.einsum("...ab,...ba->...", X, Ax)
     return value, Ax, Ay, G @ (X @ Ax + Y @ Ay)
 
 
-def vertex_terms(geom, u, v, a0, a2, corners):
+def vertex_terms(geom, u, v, a0, a2, lap_v=None):
     """The a0 and a2 terms of ``G_q(u, v)`` as a per-vertex density.
 
-    Returns ``(density, lap_v)``: the terms sum to ``density @ vol``, so the
-    density is also the adjoint of the vertex volumes; ``lap_v`` is the
-    Laplacian of ``v`` (``None`` without a2).  The a2 term's cotangent-weight
-    adjoint is accumulated on the face ``corners``.
+    ``v`` may carry trailing axes, ``(N, 3, ...)``, over which the results
+    broadcast; ``lap_v``, the Laplacian of ``v``, is formed when not given.
+    Returns ``(density, lap_v, lam)``: the terms sum to ``density @ vol``, so
+    the density is also the adjoint of the vertex volumes; ``lam`` is the a2
+    term's adjoint of the corner cotangents (:func:`cot_edge_grads`).
+    ``lap_v`` and ``lam`` are ``None`` without a2.
     """
-    density = a0 * _rowdot(u, v) if a0 else np.zeros(len(u))
-    lap_v = None
+    density = a0 * _dot3(u, v) if a0 else np.zeros((len(v),) + v.shape[2:])
+    lam = None
     if a2:
-        lap_v = geom.lap @ v
+        if lap_v is None:
+            lap_v = (geom.lap @ v.reshape(len(v), -1)).reshape(v.shape)
         lap_u = lap_v if v is u else geom.lap @ u
-        density += a2 * _rowdot(lap_u, lap_v)
-        lam = _laplacian_edge_lambda(geom.mesh.faces, geom.vol, u, lap_u, v, lap_v)
-        add_cot_channel(corners, geom, a2 * lam)
-    return density, lap_v
+        density += a2 * _dot3(lap_u, lap_v)
+        lam = a2 * _laplacian_edge_lambda(geom.mesh.faces, geom.vol, u, lap_u, v, lap_v)
+    return density, lap_v, lam
+
+
+def face_terms(geom, du, dv, coefficients):
+    """Face-local part (a1, b1, c1, d1) of the foot-point gradient of ``G_q(u, v)``.
+
+    ``du`` and ``dv`` are the per-face differentials of ``u`` and ``v``;
+    ``dv`` may carry leading axes, ``(..., M, 3, 2)``, over which the result
+    broadcasts, and ``dv is du`` reuses the first field's trace-form parts
+    and normal variation.  Returns ``(g_dq, g_area)``, the adjoints of the
+    edge matrices and of the face areas, shaped like ``dv`` and
+    ``dv[..., 0, 0]``; both are linear in ``dv``.
+    """
+    fr = geom.frames
+    dq = fr.dq
+    n = fr.n
+    area = fr.area
+    s = 2.0 * area
+    _, a1, b1, c1, d1, _ = coefficients.as_array()
+    same = dv is du
+
+    g_area = np.zeros(dv.shape[:-2])
+    g_dq = np.zeros(dv.shape)
+
+    pu = dq.swapaxes(1, 2) @ du
+    pv = pu if same else dq.swapaxes(1, 2) @ dv
+
+    def trace_pass(c, b, part):
+        """Area and edge adjoints of ``c tr(G X G Y) + b tr(G X) tr(G Y)`` on ``part``."""
+        X = part(pu, pu.swapaxes(-1, -2))
+        Y = X if same else part(pv, pv.swapaxes(-1, -2))
+        value, Ax, Ay, S = trace_form(geom.ginv, X, Y, c, b)
+        g = du @ Ax  # s (du Ax + dv Ay - dq S), one (..., M, 3, 2) temporary at a time
+        g += dv @ Ay
+        g -= dq @ S
+        g *= s[:, None, None]
+        return value, g
+
+    # For antisymmetric X, Y: tr(G X G Y^T) = -tr(G X G Y), so the rotation
+    # term d1 is the shear form a1 on the antisymmetric parts, weighted -d1.
+    for c, b, part in ((a1, b1, np.add), (-d1, 0.0, np.subtract)):
+        if c or b:
+            value, g = trace_pass(c, b, part)
+            g_area += value
+            g_dq += g
+
+    if c1:
+        dnu, wu = _normal_variation(fr, du)
+        dnv, wv = (dnu, wu) if same else _normal_variation(fr, dv)
+        g_area += c1 * _rowdot(dnu, dnv)
+
+        def normal_pass(dn_self, dn_other, w_self, dh):
+            """Edge adjoints of ``c1 <dn_self, dn_other> area`` through ``dn_self``."""
+            t = (c1 * area)[:, None] * dn_other  # adjoint of dn_self; t is normal-free
+            a_c = (
+                -(_rowdot(n, w_self) / s**2)[..., None] * t
+                - (_rowdot(t, dn_self) / s)[..., None] * n
+            )
+            g = cross_edge_grads(dh, t / s[:, None])
+            g += cross_edge_grads(dq, a_c)
+            return g
+
+        g_u = normal_pass(dnu, dnv, wu, du)
+        g_dq += g_u + (g_u if same else normal_pass(dnv, dnu, wv, dv))
+
+    return g_dq, g_area
 
 
 def h2_vertex_gradient(geom, u, v, coefficients):
@@ -154,59 +253,63 @@ def h2_vertex_gradient(geom, u, v, coefficients):
         differential, trace-form part and normal variation are those of the
         first; the result equals that for a copy of ``u``.
     """
-    mesh = geom.mesh
-    F = mesh.faces
+    F = geom.mesh.faces
     fr = geom.frames
-    dq = fr.dq
-    n = fr.n
-    area = fr.area
-    s = 2.0 * area
-    a0, a1, b1, c1, d1, a2 = coefficients.as_array()
-
-    M = F.shape[0]
-    corners = np.zeros((M, 3, 3))
-    g_area = np.zeros(M)
-    g_dq = np.zeros((M, 3, 2))
-
     du = _field_differential(F, u)
     dv = du if v is u else _field_differential(F, v)
-
-    # For antisymmetric X, Y: tr(G X G Y^T) = -tr(G X G Y), so the rotation
-    # term d1 is the shear form a1 on the antisymmetric parts, weighted -d1.
-    pu = dq.swapaxes(1, 2) @ du
-    pv = pu if v is u else dq.swapaxes(1, 2) @ dv
-    for c, b, part in ((a1, b1, np.add), (-d1, 0.0, np.subtract)):
-        if not (c or b):
-            continue
-        X = part(pu, pu.swapaxes(1, 2))
-        Y = X if v is u else part(pv, pv.swapaxes(1, 2))
-        value, Ax, Ay, S = trace_form(geom.ginv, X, Y, c, b)
-        g_area += value
-        g_dq += s[:, None, None] * (du @ Ax + dv @ Ay - dq @ S)
-
-    if c1:
-        dnu, wu = _normal_variation(fr, du)
-        dnv, wv = (dnu, wu) if v is u else _normal_variation(fr, dv)
-        g_area += c1 * _rowdot(dnu, dnv)
-
-        def normal_pass(dn_self, dn_other, w_self, dh):
-            """Edge adjoints of ``c1 <dn_self, dn_other> area`` through ``dn_self``."""
-            t = (c1 * area)[:, None] * dn_other  # adjoint of dn_self; t is normal-free
-            a_c = (
-                -(_rowdot(n, w_self) / s**2)[:, None] * t
-                - (_rowdot(t, dn_self) / s)[:, None] * n
-            )
-            return cross_edge_grads(dh, t / s[:, None]) + cross_edge_grads(dq, a_c)
-
-        g_u = normal_pass(dnu, dnv, wu, du)
-        g_dq += g_u + (g_u if v is u else normal_pass(dnv, dnu, wv, dv))
-
-    g_vol, _ = vertex_terms(geom, u, v, a0, a2, corners)
+    g_dq, g_area = face_terms(geom, du, dv, coefficients)
+    g_vol, _, lam = vertex_terms(geom, u, v, coefficients.a0, coefficients.a2)
+    if lam is not None:
+        g_dq += cot_channel(fr, lam)
     # vertex volumes distribute one third of each incident area
-    g_area += (g_vol[F[:, 0]] + g_vol[F[:, 1]] + g_vol[F[:, 2]]) / 3.0
+    g_area += _vertex_thirds(F, g_vol)
+    g_dq += area_edge_grads(fr.dq, fr.n, g_area)
+    return scatter_corners(F, edge_corners(g_dq), geom.mesh.n_vertices)
 
-    g_dq += area_edge_grads(dq, n, g_area)
-    return scatter_corners(F, corners + edge_corners(g_dq), mesh.n_vertices)
+
+def h2_gradient_pairing(geom, fields, coefficients):
+    """The pairings ``K[i, j] = <f_i, grad_q G_q(u, f_j)>`` as a function of ``u``.
+
+    ``fields`` is a ``(P, N, 3)`` stack ``f``; the returned function maps a
+    vertex field ``u`` to the ``(P, P)`` matrix ``K`` without a per-field
+    :func:`h2_vertex_gradient`.  That gradient is the scatter of a per-face
+    edge adjoint, so ``K[i, j]`` pairs the adjoint for ``f_j`` with the
+    per-face differentials ``df_i`` (6-vectors), summed over the faces:
+
+    * the face-local terms (a1, b1, c1, d1 and their area channel) depend on
+      ``f_j`` only through ``df_j``: their edge adjoint is ``B_f df_j`` with
+      one 6x6 block ``B_f`` per face, which :func:`face_terms` gives from
+      the six unit differentials, so this part is ``sum_f df_i^T B_f df_j``;
+    * the a0/a2 density enters through the vertex-volume thirds, paired with
+      the area derivatives ``darea_i``;
+    * the a2 cotangent channel pairs ``lam_j`` with the cotangent
+      derivatives ``dcot_i`` over the face corners, with ``L f`` formed once
+      as one sparse product.
+    """
+    F = geom.mesh.faces
+    fr = geom.frames
+    M = len(fr)
+    P, N = fields.shape[:2]
+    a0, a2 = coefficients.a0, coefficients.a2
+    df = _field_differential(F, fields).reshape(P, M, 6).transpose(1, 2, 0).copy()  # (M, 6, P)
+    unit = np.broadcast_to(np.eye(6).reshape(6, 1, 3, 2), (6, M, 3, 2))
+    fv = fields.transpose(1, 2, 0)  # (N, 3, P)
+    lap_f = (geom.lap @ fv.reshape(N, 3 * P)).reshape(N, 3, P) if a2 else None
+
+    def pairing(u):
+        g_dq, g_area = face_terms(geom, _field_differential(F, u), unit, coefficients)
+        g_dq += area_edge_grads(fr.dq, fr.n, g_area)
+        blocks = g_dq.reshape(6, M, 6).transpose(1, 2, 0)  # B_f, (M, 6, 6)
+        out = df.reshape(6 * M, P).T @ (blocks @ df).reshape(6 * M, P)
+        density, _, lam = vertex_terms(geom, u, fv, a0, a2, lap_v=lap_f)
+        darea = area_edge_grads(fr.dq, fr.n, np.ones(M)).reshape(M, 1, 6) @ df
+        out += darea.reshape(M, P).T @ _vertex_thirds(F, density)
+        if lam is not None:
+            dcot = cot_edge_grads(fr).reshape(M, 3, 6) @ df
+            out += dcot.reshape(3 * M, P).T @ lam.reshape(3 * M, P)
+        return out
+
+    return pairing
 
 
 def step_energy_discrete(geom_left, right_vertices, coefficients):
@@ -242,16 +345,16 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
     u = right_vertices - mesh.vertices
     du = _field_differential(F, u)
     dr = _field_differential(F, right_vertices)
-    corners = np.zeros((M, 3, 3))
     g_area = np.zeros(M)
     g_dq = np.zeros((M, 3, 2))
     g_dr = np.zeros((M, 3, 2))
 
-    g_vol, lap_u = vertex_terms(geom_left, u, u, a0, a2, corners)
+    g_vol, lap_u, lam = vertex_terms(geom_left, u, u, a0, a2)
     value = float(g_vol @ vol)
     grad_r = (2.0 * a0) * vol[:, None] * u
     if a2:
         grad_r += (2.0 * a2) * (geom_left.lap @ (vol[:, None] * lap_u))
+        g_dq += cot_channel(fr, lam)
 
     # dr^T dr - dq^T dq = (dq^T du + du^T dq) + du^T du and
     # dq^T dr - dr^T dq = dq^T du - du^T dq; along a variation e of dr the
@@ -278,8 +381,8 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
         g_dq += normal_edge_grads(dq, n, 2.0 * area, -gn)
         g_area += c1 * _rowdot(dn, dn)
 
-    g_area += (g_vol[F[:, 0]] + g_vol[F[:, 1]] + g_vol[F[:, 2]]) / 3.0
+    g_area += _vertex_thirds(F, g_vol)
     g_dq += area_edge_grads(dq, n, g_area)
-    grad_l = scatter_corners(F, corners + edge_corners(g_dq), mesh.n_vertices) - grad_r
+    grad_l = scatter_corners(F, edge_corners(g_dq), mesh.n_vertices) - grad_r
     grad_r += scatter_corners(F, edge_corners(g_dr), mesh.n_vertices)
     return value, grad_l, grad_r

@@ -112,6 +112,23 @@ class TriangleMesh:
         return f"TriangleMesh(n_vertices={self.n_vertices}, n_faces={self.n_faces})"
 
 
+def cross(a, b):
+    """Cross product ``a x b`` over the last axis of 3-vector arrays.
+
+    The operands broadcast as in arithmetic, e.g. ``(K, M, 3)`` with
+    ``(M, 3)``.  Each component is formed from column views with the same
+    products and differences as NumPy's cross product, so the results are
+    equal bit for bit, without its axis handling.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
+
+
 def _validate(v, f):
     n = v.shape[0]
     if not np.all(np.isfinite(v)):
@@ -124,8 +141,8 @@ def _validate(v, f):
             raise DegenerateFaceError(
                 "degenerate face: repeated vertex index", int(np.flatnonzero(same)[0])
             )
-        cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-        area2 = np.einsum("ij,ij->i", cross, cross)
+        c = cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+        area2 = np.einsum("ij,ij->i", c, c)
         bad = area2 <= 0.0
         if bad.any():
             raise DegenerateFaceError("zero-area face", int(np.flatnonzero(bad)[0]))
@@ -215,11 +232,11 @@ def face_frames(mesh):
     e2 = v2 - v0
     dq = np.stack([e1, e2], axis=2)
     g = np.einsum("mia,mib->mab", dq, dq)
-    cross = np.cross(e1, e2)
-    norm = np.linalg.norm(cross, axis=1)
+    c = cross(e1, e2)
+    norm = np.linalg.norm(c, axis=1)
     if np.any(norm <= 0.0):
         raise DegenerateFaceError("zero-area face", int(np.flatnonzero(norm <= 0.0)[0]))
-    n = cross / norm[:, None]
+    n = c / norm[:, None]
     return FaceFrames(dq=dq, g=g, n=n, area=0.5 * norm)
 
 

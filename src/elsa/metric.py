@@ -35,6 +35,7 @@ from .mesh import (
     MeshError,
     TriangleMesh,
     cotan_laplacian,
+    cross,
     face_frames,
     vertex_volumes,
 )
@@ -168,11 +169,11 @@ def _normal_variation(frames, dh):
 
     Returns ``(dn, w)``: ``w = dh_1 x e2 + e1 x dh_2`` is the variation of
     the edge cross product ``e1 x e2`` and ``dn`` its tangential part over
-    ``|e1 x e2|``.
+    ``|e1 x e2|``.  ``dh`` may carry leading axes, ``(..., M, 3, 2)``.
     """
     e1 = frames.dq[:, :, 0]
     e2 = frames.dq[:, :, 1]
-    w = np.cross(dh[..., 0], e2) + np.cross(e1, dh[..., 1])
+    w = cross(dh[..., 0], e2) + cross(e1, dh[..., 1])
     n = frames.n
     s = 2.0 * frames.area
     return (w - n * np.einsum("ij,...ij->...i", n, w)[..., None]) / s[:, None], w

@@ -12,7 +12,10 @@ The shooting solver (:func:`geodesic_ivp`) advances a discrete geodesic by
 requiring each knot to be the geodesic midpoint of its neighbors: every step
 solves the stationarity system of the two-step energy for the next knot by
 Gauss-Newton on the squared residual, differentiating the metric with the
-same exact foot-point gradient as the path energy.
+same exact foot-point gradient as the path energy.  The residual makes the
+only foot-point gradient call per iterate; the Jacobian pairs the basis
+fields with per-face 6x6 blocks of that gradient's face-local terms
+(:func:`_diff.h2_gradient_pairing`), with no call per field.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._diff import h2_vertex_gradient, step_energy_discrete_with_grads
+from ._diff import h2_gradient_pairing, h2_vertex_gradient, step_energy_discrete_with_grads
 from .latent import decode, gram, latent_path_energy_with_grad
 from .mesh import MeshError, TriangleMesh
 from .metric import _geometry
@@ -447,20 +450,20 @@ def _shooting_system(basis, geom, g_cur, rhs, coefficients):
     ``Phi(b) = rhs - 2 G_cur b + D(b, b)`` with ``rhs = 2 G_prev beta0`` is the
     middle-knot gradient of the two-step path energy divided by ``T``; ``D(b, b)`` is
     the foot-point gradient at ``u = b . fields`` on the current knot's geometry
-    ``geom``; Jacobian column ``j`` is its polarized call with field ``j``.
+    ``geom``, the only :func:`h2_vertex_gradient` call per iterate.  The Jacobian
+    is ``2 (K - G_cur)`` with ``K[i, j] = <f_i, grad G(u, f_j)>``, paired from
+    per-face 6x6 blocks (:func:`h2_gradient_pairing`) without a per-field call.
     """
     fields = basis.fields
-
-    def foot(u, v):
-        return basis.fields_matrix @ h2_vertex_gradient(geom, u, v, coefficients).ravel()
+    pairing = h2_gradient_pairing(geom, fields, coefficients)
 
     def residual(b):
         u = np.tensordot(b, fields, axes=1)
-        return rhs - 2.0 * (g_cur @ b) + foot(u, u)
+        grad = h2_vertex_gradient(geom, u, u, coefficients)
+        return rhs - 2.0 * (g_cur @ b) + basis.fields_matrix @ grad.ravel()
 
     def jacobian(b):
-        u = np.tensordot(b, fields, axes=1)
-        return 2.0 * (np.stack([foot(u, f) for f in fields], axis=1) - g_cur)
+        return 2.0 * (pairing(np.tensordot(b, fields, axes=1)) - g_cur)
 
     return residual, jacobian
 

@@ -17,6 +17,7 @@ from elsa import (
 )
 from elsa.mesh import (
     MeshError,
+    cross,
     face_corners,
     face_cotangents,
     mesh_edges,
@@ -191,6 +192,22 @@ def test_scatter_corners_matches_loop_oracle():
         got = scatter_corners(mesh.faces, values, n)
         assert np.array_equal(got, expected)
         assert np.all(got[-1] == 0.0)
+
+
+def test_cross_equals_numpy_cross_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for mesh in (syn.icosphere(3), syn.bumpy_mesh(30, seed=5), syn.grid_mesh(6, 6, 0.2)):
+        v0, v1, v2 = face_corners(mesh)
+        e1, e2 = v1 - v0, v2 - v0
+        assert np.array_equal(cross(e1, e2), np.cross(e1, e2))
+        # column views of an edge stack, as the mesh gradients pass them
+        dq = np.stack([e1, e2], axis=2)
+        assert np.array_equal(cross(dq[:, :, 1], dq[:, :, 0]), np.cross(e2, e1))
+        # a stack of K vectors per face against one vector per face, both ways
+        k = rng.standard_normal((4,) + e1.shape)
+        assert cross(k, e2).shape == (4,) + e1.shape
+        assert np.array_equal(cross(k, e2), np.cross(k, e2))
+        assert np.array_equal(cross(e1, k), np.cross(e1, k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from elsa import (
     varifold_norm_sq,
     varifold_sqdist,
 )
-from elsa import solvers
+from elsa import _diff, solvers
 from elsa.latent import latent_path_energy_with_grad
 from elsa.mesh import MeshError
 from elsa.metric import _geometry
@@ -388,6 +390,73 @@ def test_shooting_jacobian_matches_central_differences():
     assert np.max(np.abs(jac - fd)) < 1e-9 * np.max(np.abs(jac))
     # the derivative part alone: the polarized foot-point calls against D(b, b)
     assert np.max(np.abs(jac + 2.0 * g_cur)) > 1e-3 * np.max(np.abs(jac))
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [syn.icosphere(2), syn.bumpy_mesh(60), syn.grid_mesh(6, 6, 0.2)],
+    ids=["icosphere2", "bumpy60", "grid_with_boundary"],
+)
+def test_shooting_jacobian_matches_polarized_columns(mesh, monkeypatch):
+    # the Jacobian from per-face blocks against the column loop it replaces:
+    # one polarized foot-point gradient per field
+    basis = syn.random_basis(mesh, 3, 3, seed=25)
+    rng = np.random.default_rng(26)
+    alpha = 0.3 * rng.standard_normal(basis.dim)
+    geom = _geometry(decode(basis, alpha))
+    b = 0.5 * rng.standard_normal(basis.dim)
+    u = np.tensordot(b, basis.fields, axes=1)
+    one_hots = [MetricCoefficients(*np.eye(6)[k]) for k in range(6)]
+    for coefficients in [BODY, MetricCoefficients.faces(), *one_hots]:
+        g_cur = gram(basis, alpha, coefficients, geometry=geom)
+        columns = np.stack([
+            basis.fields_matrix @ solvers.h2_vertex_gradient(geom, u, f, coefficients).ravel()
+            for f in basis.fields
+        ], axis=1)
+        expected = 2.0 * (columns - g_cur)
+        _, jacobian = solvers._shooting_system(basis, geom, g_cur, np.zeros(basis.dim), coefficients)
+        jac = jacobian(b)
+        assert np.max(np.abs(jac - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    calls = []
+
+    def counting(original):
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        return counted
+
+    for module in (solvers, _diff):
+        monkeypatch.setattr(module, "h2_vertex_gradient", counting(module.h2_vertex_gradient))
+    _, jacobian = solvers._shooting_system(basis, geom, g_cur, np.zeros(basis.dim), BODY)
+    jacobian(b)
+    assert calls == []
+
+
+def test_shooting_jacobian_peaks_below_gram():
+    # the per-face blocks and the fields' differentials must not cost more
+    # memory than the Gram matrix at the same foot point
+    basis = syn.random_basis(syn.icosphere(3), 20, 20, seed=31)
+    rng = np.random.default_rng(32)
+    alpha = 0.3 * rng.standard_normal(basis.dim)
+    geom = _geometry(decode(basis, alpha))
+    b = 0.3 * rng.standard_normal(basis.dim)
+    g_cur = gram(basis, alpha, BODY, geometry=geom)
+
+    def peak(fun):
+        tracemalloc.start()
+        try:
+            fun()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def one_jacobian():
+        _, jacobian = solvers._shooting_system(basis, geom, g_cur, np.zeros(basis.dim), BODY)
+        return jacobian(b)
+
+    assert peak(one_jacobian) <= peak(lambda: gram(basis, alpha, BODY, geometry=geom))
 
 
 def test_ivp_knots_are_discrete_geodesic_knots():
