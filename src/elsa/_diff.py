@@ -13,7 +13,10 @@ differentiated with respect to vertex positions:
   ``dr^T dr - dq^T dq`` of the metric tensor; only the normal term is its
   own finite difference of unit normals.
 
-Both share the per-face trace form of the a1, b1 and d1 terms
+:func:`path_energy_with_grads` sums the steps of a mesh path, for
+:func:`metric.path_energy` and the mesh geodesic solver alike.
+
+Both functionals share the per-face trace form of the a1, b1 and d1 terms
 (:func:`trace_form`) and the per-vertex a0 and a2 terms
 (:func:`vertex_terms`).  Edges, unit normals and areas are read from
 :func:`mesh.face_frames`, the single source of per-face geometry.
@@ -36,8 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import _OPPOSITE, cross, face_cotangents, face_frames, scatter_corners
-from .metric import _field_differential, _normal_variation
+from .mesh import _OPPOSITE, TriangleMesh, cross, face_cotangents, face_frames, scatter_corners
+from .metric import _field_differential, _geometry, _normal_variation
 
 
 def _rowdot(a, b):
@@ -312,11 +315,6 @@ def h2_gradient_pairing(geom, fields, coefficients):
     return pairing
 
 
-def step_energy_discrete(geom_left, right_vertices, coefficients):
-    """Discrete one-step energy with finite-difference variations."""
-    return step_energy_discrete_with_grads(geom_left, right_vertices, coefficients)[0]
-
-
 def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
     """Discrete one-step energy and its gradients w.r.t. both vertex sets.
 
@@ -386,3 +384,21 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
     grad_l = scatter_corners(F, edge_corners(g_dq), mesh.n_vertices) - grad_r
     grad_r += scatter_corners(F, edge_corners(g_dr), mesh.n_vertices)
     return value, grad_l, grad_r
+
+
+def path_energy_with_grads(knots, faces, coefficients):
+    """Path energy ``T * sum_t E(q_t, q_{t+1})`` and its ``(T+1, N, 3)`` knot gradient.
+
+    ``knots`` are the vertex arrays of a path on ``faces``; each step is
+    :func:`step_energy_discrete_with_grads` at its left knot.
+    """
+    T = len(knots) - 1
+    total = 0.0
+    grads = np.zeros((T + 1,) + np.shape(knots[0]))
+    for t in range(T):
+        geom = _geometry(TriangleMesh(knots[t], faces, validate=False))
+        value, grad_l, grad_r = step_energy_discrete_with_grads(geom, knots[t + 1], coefficients)
+        total += value
+        grads[t] += grad_l
+        grads[t + 1] += grad_r
+    return T * total, T * grads

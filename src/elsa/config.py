@@ -8,7 +8,7 @@ configuration next to a run's outputs so the run can be reproduced from it.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .metric import MetricCoefficients
@@ -144,12 +144,3 @@ def save_config(cfg, path):
     with open(path, "w") as fh:
         parser.write(fh)
 
-
-def faces_preset():
-    """Face-scan defaults: softer first-order weights, two-stage schedule."""
-    return replace(
-        RunConfig(),
-        coefficients=MetricCoefficients.faces(),
-        sigma=0.005,
-        schedule=MultiscaleSchedule.faces(),
-    )

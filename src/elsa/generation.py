@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .latent import decode
-from .mesh import MeshError
+from .mesh import MeshError, read_exact
 from .solvers import SolverFailure, geodesic_ivp
 
 _GMM_MAGIC = b"ELSAGMM1"
@@ -227,14 +227,14 @@ def load_gmm(path):
     with open(path, "rb") as fh:
         if fh.read(8) != _GMM_MAGIC:
             raise ValueError(f"{path}: not a mixture model file")
-        (blocks,) = struct.unpack("<I", fh.read(4))
+        (blocks,) = struct.unpack("<I", read_exact(fh, 4, path))
         if blocks != 2:
             raise ValueError(f"{path}: expected 2 blocks, found {blocks}")
         out = []
         for _ in range(blocks):
-            k, d = struct.unpack("<II", fh.read(8))
-            weights = np.frombuffer(fh.read(8 * k), dtype="<f8").copy()
-            means = np.frombuffer(fh.read(8 * k * d), dtype="<f8").reshape(k, d).copy()
-            covs = np.frombuffer(fh.read(8 * k * d * d), dtype="<f8").reshape(k, d, d).copy()
+            k, d = struct.unpack("<II", read_exact(fh, 8, path))
+            weights = np.frombuffer(read_exact(fh, 8 * k, path), "<f8").copy()
+            means = np.frombuffer(read_exact(fh, 8 * k * d, path), "<f8").reshape(k, d).copy()
+            covs = np.frombuffer(read_exact(fh, 8 * k * d * d, path), "<f8").reshape(k, d, d).copy()
             out.append(GmmModel(weights=weights, means=means, covariances=covs))
     return tuple(out)

@@ -11,7 +11,8 @@ The Euclidean structure of the code space is irrelevant; distances come from
 pulling the mesh metric back through the decoder: ``gram`` assembles the
 ``P x P`` matrix of pairwise metric products of the basis fields at the
 decoded foot point, and the path energy contracts code increments against
-it (forward convention, matching the discrete mesh path energy).
+it (forward convention, matching the discrete mesh path energy), in one
+loop, :func:`latent_path_energy_with_grad`, whose value is the path energy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError, TriangleMesh, mesh_from_ply_bytes, ply_bytes
+from .mesh import MeshError, TriangleMesh, mesh_from_ply_bytes, ply_bytes, read_exact
 from .metric import _field_differential, _geometry, _normal_variation
 from ._diff import h2_vertex_gradient
 
@@ -172,15 +173,10 @@ def latent_path_energy(basis, path, coefficients):
     """Discrete path energy ``T * sum_t d_t^T Gram(alpha_t) d_t``.
 
     Increments are forward differences; the Gram matrix is evaluated at the
-    left knot of each step.
+    left knot of each step.  The first knot is held, which skips its
+    foot-point derivative.
     """
-    path = _check_path(basis, path)
-    T = path.shape[0] - 1
-    total = 0.0
-    for t in range(T):
-        d = path[t + 1] - path[t]
-        total += float(d @ gram(basis, path[t], coefficients) @ d)
-    return T * total
+    return latent_path_energy_with_grad(basis, path, coefficients, fixed_start=True)[0]
 
 
 def latent_path_energy_with_grad(basis, path, coefficients, fixed_start=False):
@@ -266,13 +262,11 @@ def load_basis(path):
         magic = fh.read(8)
         if magic != _BASIS_MAGIC:
             raise MeshError(f"{path}: not a basis file (bad magic {magic!r})")
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
-        template = mesh_from_ply_bytes(fh.read(blob_len))
-        p, m, n, nv = struct.unpack("<IIIQ", fh.read(20))
+        (blob_len,) = struct.unpack("<Q", read_exact(fh, 8, path))
+        template = mesh_from_ply_bytes(read_exact(fh, blob_len, path))
+        p, m, n, nv = struct.unpack("<IIIQ", read_exact(fh, 20, path))
         if nv != template.n_vertices:
             raise MeshError(f"{path}: vertex count mismatch in basis file")
-        data = np.frombuffer(fh.read(8 * p * nv * 3), dtype="<f8")
-        if data.size != p * nv * 3:
-            raise MeshError(f"{path}: truncated basis file")
-        fields = data.reshape(p, nv, 3).copy()
+        fields = np.frombuffer(read_exact(fh, 8 * p * nv * 3, path), dtype="<f8")
+        fields = fields.reshape(p, nv, 3).copy()
     return LatentBasis(template=template, fields=fields, n_shape=m, n_pose=n)

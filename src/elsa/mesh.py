@@ -444,6 +444,15 @@ _PLY_TYPES = {
 }
 
 
+def read_exact(fh, size, path):
+    """``size`` bytes of the binary file ``path``; a short read raises :class:`MeshParseError`."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise MeshParseError(f"{path}: truncated: {size} bytes expected at byte "
+                             f"{fh.tell() - len(data)}, {len(data)} found")
+    return data
+
+
 def _read_ply(path):
     with open(path, "rb") as fh:
         return _read_ply_stream(fh, path)
@@ -526,7 +535,7 @@ def _read_ply_binary(fh, elements, path):
         if name == "vertex":
             ix, iy, iz = _ply_vertex_layout(props, path)
             dtype = np.dtype([(f"p{i}", "<" + _PLY_TYPES[t]) for i, (_, t) in enumerate(props)])
-            data = np.frombuffer(fh.read(dtype.itemsize * count), dtype=dtype, count=count)
+            data = np.frombuffer(read_exact(fh, dtype.itemsize * count, path), dtype=dtype)
             vertices = np.stack(
                 [data[f"p{ix}"], data[f"p{iy}"], data[f"p{iz}"]], axis=1
             ).astype(np.float64)
@@ -538,10 +547,10 @@ def _read_ply_binary(fh, elements, path):
             item_t = np.dtype("<" + _PLY_TYPES[spec[2]])
             rows = np.empty((count, 3), dtype=np.int64)
             for i in range(count):
-                k = int(np.frombuffer(fh.read(count_t.itemsize), dtype=count_t)[0])
+                k = int(np.frombuffer(read_exact(fh, count_t.itemsize, path), dtype=count_t)[0])
                 if k != 3:
                     raise MeshParseError(f"{path}: non-triangle face with {k} vertices")
-                rows[i] = np.frombuffer(fh.read(item_t.itemsize * 3), dtype=item_t)
+                rows[i] = np.frombuffer(read_exact(fh, item_t.itemsize * 3, path), dtype=item_t)
             faces = rows
         else:
             raise MeshParseError(f"{path}: cannot skip binary element {name!r}")

@@ -15,9 +15,10 @@ Laplacian.  The four first-order terms penalize shearing, stretching, bending
 and in-plane rotation respectively.
 
 :func:`h2_inner` evaluates the polarized analytic form; :func:`path_energy`
-evaluates the discrete geodesic energy of a mesh path, where all foot-point
-quantities (areas, inverse metric tensors, Laplacian weights) are taken at
-the left endpoint ``q`` of each step.  A step's energy is the analytic form
+checks a mesh path and returns the discrete geodesic energy of
+:func:`_diff.path_energy_with_grads`, where all foot-point quantities (areas,
+inverse metric tensors, Laplacian weights) are taken at the left endpoint
+``q`` of each step.  A step's energy is the analytic form
 at ``u = r - q`` with ``du^T du`` added to the symmetric part of ``dg``, so
 that it becomes the finite difference ``dr^T dr - dq^T dq``; only the normal
 term is a finite difference of its own, between unit normals.
@@ -247,7 +248,7 @@ def path_energy(meshes, coefficients):
     ``E = T * sum_t G_{q_t}(q_{t+1} - q_t)`` where the metric-tensor and
     normal variations are finite differences between consecutive meshes and
     all weights are evaluated at the left endpoint (forward convention).
-    Each step's value comes from the call that also forms its gradients.
+    The value is that of :func:`_diff.path_energy_with_grads`.
     """
     meshes = list(meshes)
     if len(meshes) < 2:
@@ -256,10 +257,6 @@ def path_energy(meshes, coefficients):
     for m in meshes[1:]:
         if not first.same_topology(m):
             raise MeshError("path meshes must share topology")
-    from ._diff import step_energy_discrete
+    from ._diff import path_energy_with_grads
 
-    T = len(meshes) - 1
-    total = 0.0
-    for left, right in zip(meshes[:-1], meshes[1:]):
-        total += step_energy_discrete(_geometry(left), right.vertices, coefficients)
-    return T * total
+    return path_energy_with_grads([m.vertices for m in meshes], first.faces, coefficients)[0]

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._diff import h2_gradient_pairing, h2_vertex_gradient, step_energy_discrete_with_grads
-from .latent import decode, gram, latent_path_energy_with_grad
+from ._diff import h2_gradient_pairing, h2_vertex_gradient, path_energy_with_grads
+from .latent import decode, gram, latent_path_energy, latent_path_energy_with_grad
 from .mesh import MeshError, TriangleMesh
 from .metric import _geometry
 from .varifold import VarifoldConfig, VarifoldTarget, varifold_sqdist_to, varifold_value_and_grad
@@ -174,8 +174,8 @@ def _zoom(phi, lo, f_lo, der_lo, g_lo, hi, f_hi, f0, derphi0):
     return None
 
 
-def _line_search(fun, x, f0, g0, d, cfg):
-    """Strong-Wolfe ``(step, value, gradient)`` along ``d`` or ``None``; ``cfg`` is not read."""
+def _line_search(fun, x, f0, g0, d):
+    """Strong-Wolfe ``(step, value, gradient)`` along ``d`` or ``None``."""
     derphi0 = float(g0 @ d)
     if derphi0 >= 0:
         return None
@@ -251,12 +251,12 @@ def minimize(fun, x0, config=None, callback=None):
         if not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
             mem.clear()
             d = -g
-        hit = _line_search(fun, x, f, g, d, cfg)
+        hit = _line_search(fun, x, f, g, d)
         if hit is None and mem:
             # a stale memory direction can miss a decrease that -g still finds
             mem.clear()
             d = -g
-            hit = _line_search(fun, x, f, g, d, cfg)
+            hit = _line_search(fun, x, f, g, d)
         if hit is None:
             reason = "line_search_failure"
             break
@@ -302,6 +302,14 @@ def _guard(fun):
 # ---------------------------------------------------------------------------
 
 
+def _time_steps(time_steps):
+    """The number of path steps ``T`` as an int; at least one."""
+    T = int(time_steps)
+    if T < 1:
+        raise ValueError("time_steps must be >= 1")
+    return T
+
+
 def _minimize_stages(objective, x, schedule, config, meshes):
     """Minimize each stage's objective from the last stage's result; report all stages.
 
@@ -335,9 +343,7 @@ def retrieve_latent(basis, target, coefficients, schedule=None, time_steps=10, c
         energy, and the refinement's iteration count and gradient max-norm.
     """
     schedule = schedule if schedule is not None else MultiscaleSchedule.bodies()
-    T = int(time_steps)
-    if T < 1:
-        raise ValueError("time_steps must be >= 1")
+    T = _time_steps(time_steps)
     P = basis.dim
     fields_mat = basis.fields_matrix
 
@@ -373,20 +379,13 @@ def geodesic_bvp(basis, alpha0, alpha1, time_steps, coefficients, config=None, i
 
     Minimizes the latent path energy over the interior knots with both
     endpoints fixed, starting from the interior knots of ``init_path``
-    (default: the linear interpolation).
+    (default: the linear interpolation); with one step there is none to move.
     """
     alpha0 = basis.check_code(alpha0)
     alpha1 = basis.check_code(alpha1)
-    T = int(time_steps)
-    if T < 1:
-        raise ValueError("time_steps must be >= 1")
+    T = _time_steps(time_steps)
     ts = np.linspace(0.0, 1.0, T + 1)[:, None]
     init = (1.0 - ts) * alpha0 + ts * alpha1 if init_path is None else np.asarray(init_path, float)
-
-    if T == 1:
-        energy, _ = latent_path_energy_with_grad(basis, init, coefficients)
-        return init, SolveReport(value=energy, grad_norm=0.0, iterations=[0], reason="converged",
-                                 reasons=["converged"])
 
     def fun(x):
         path = np.vstack([alpha0, x.reshape(T - 1, basis.dim), alpha1])
@@ -407,9 +406,7 @@ def relaxed_geodesic(basis, q0, q1, time_steps, coefficients, schedule=None, con
     meshes may have arbitrary mesh structures.
     """
     schedule = schedule if schedule is not None else MultiscaleSchedule.bodies()
-    T = int(time_steps)
-    if T < 1:
-        raise ValueError("time_steps must be >= 1")
+    T = _time_steps(time_steps)
     P = basis.dim
     fields_mat = basis.fields_matrix
 
@@ -430,11 +427,10 @@ def relaxed_geodesic(basis, q0, q1, time_steps, coefficients, schedule=None, con
     x = (np.zeros((T + 1, P)) if init_path is None else np.asarray(init_path, float)).ravel()
     x, report, (t0, t1) = _minimize_stages(objective, x, schedule, config, (q0, q1))
     path = x.reshape(T + 1, P)
-    energy, _ = latent_path_energy_with_grad(basis, path, coefficients)
     return path, replace(report, details={
         "gamma0": varifold_sqdist_to(decode(basis, path[0]), t0),
         "gamma1": varifold_sqdist_to(decode(basis, path[-1]), t1),
-        "path_energy": energy,
+        "path_energy": latent_path_energy(basis, path, coefficients),
         "sigma": t1.config.sigma,
     })
 
@@ -567,9 +563,7 @@ def parametrized_geodesic(q0, q1, time_steps, coefficients, config=None):
     """
     if not q0.same_topology(q1):
         raise MeshError("parametrized geodesic endpoints must share topology")
-    T = int(time_steps)
-    if T < 1:
-        raise ValueError("time_steps must be >= 1")
+    T = _time_steps(time_steps)
     faces = q0.faces
     v0 = q0.vertices
     v1 = q1.vertices
@@ -582,15 +576,8 @@ def parametrized_geodesic(q0, q1, time_steps, coefficients, config=None):
 
     def fun(x):
         knots = [v0, *x.reshape(T - 1, n, 3), v1]
-        total = 0.0
-        grads = np.zeros((T + 1, n, 3))
-        for t in range(T):
-            geom = _geometry(TriangleMesh(knots[t], faces, validate=False))
-            val, gl, gr = step_energy_discrete_with_grads(geom, knots[t + 1], coefficients)
-            total += val
-            grads[t] += gl
-            grads[t + 1] += gr
-        return T * total, T * grads[1:T].ravel()
+        energy, grads = path_energy_with_grads(knots, faces, coefficients)
+        return energy, grads[1:T].ravel()
 
     x, _ = minimize(_guard(fun), init.ravel(), config)
     knots = [v0, *x.reshape(T - 1, n, 3), v1]

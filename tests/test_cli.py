@@ -145,6 +145,36 @@ def test_register_missing_basis_exit_2(workspace, tmp_path):
     assert _run("register", "--config", bad_cfg, ws["target_path"]) == 2
 
 
+def test_truncated_containers_exit_2(workspace, capsys):
+    ws = workspace
+    tmp = ws["tmp"]
+
+    def one_error_line():
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0], err
+
+    basis = ws["basis"]
+    rng = np.random.default_rng(8)
+    shape = fit_gmm(0.1 * rng.standard_normal((8, basis.n_shape)), 1, seed=9)
+    pose = fit_gmm(0.1 * rng.standard_normal((8, basis.n_pose)), 1, seed=10)
+    model_path = tmp / "model.gmm"
+    save_gmm(model_path, shape, pose)
+    capsys.readouterr()
+    for cut in (10, 14, 30):
+        cut_path = tmp / f"cut_{cut}.gmm"
+        cut_path.write_bytes(model_path.read_bytes()[:cut])
+        assert _run("generate", "--config", ws["cfg_path"], "--model", cut_path) == 2
+        one_error_line()
+
+    cfg = ws["cfg"]
+    for cut in (8, 12, 40):
+        cfg.basis_path = str(tmp / f"cut_{cut}.lsb")
+        Path(cfg.basis_path).write_bytes(ws["basis_path"].read_bytes()[:cut])
+        save_config(cfg, tmp / "cut.ini")
+        assert _run("register", "--config", tmp / "cut.ini", ws["target_path"]) == 2
+        one_error_line()
+
+
 def test_register_missing_target_exit_2(workspace):
     ws = workspace
     assert _run("register", "--config", ws["cfg_path"], ws["tmp"] / "missing.obj") == 2

@@ -14,9 +14,10 @@ import pytest
 from elsa import MetricCoefficients, TriangleMesh, h2_inner
 from elsa._diff import (
     h2_vertex_gradient,
-    step_energy_discrete,
+    path_energy_with_grads,
     step_energy_discrete_with_grads,
 )
+from elsa.mesh import vertex_volumes
 from elsa.metric import _geometry
 
 import synthetic as syn
@@ -84,20 +85,17 @@ def test_step_energy_gradients_per_term(idx):
     vr = left.vertices + 0.1 * rng.standard_normal(left.vertices.shape)
     faces = left.faces
 
-    value, grad_l, grad_r = step_energy_discrete_with_grads(_geometry(left), vr, coeffs)
-    assert value == pytest.approx(
-        step_energy_discrete(_geometry(left), vr, coeffs), rel=1e-14
-    )
+    _, grad_l, grad_r = step_energy_discrete_with_grads(_geometry(left), vr, coeffs)
 
     def fun_r(x):
-        return step_energy_discrete(_geometry(left), x, coeffs)
+        return step_energy_discrete_with_grads(_geometry(left), x, coeffs)[0]
 
     _directional_match(fun_r, grad_r, vr.copy(), rng)
 
     def fun_l(x):
-        return step_energy_discrete(
+        return step_energy_discrete_with_grads(
             _geometry(TriangleMesh(x, faces, validate=False)), vr, coeffs
-        )
+        )[0]
 
     _directional_match(fun_l, grad_l, left.vertices.copy(), rng)
 
@@ -111,15 +109,40 @@ def test_step_energy_gradients_full_metric():
     _, grad_l, grad_r = step_energy_discrete_with_grads(_geometry(left), vr, BODY)
 
     def fun_r(x):
-        return step_energy_discrete(_geometry(left), x, BODY)
+        return step_energy_discrete_with_grads(_geometry(left), x, BODY)[0]
 
     def fun_l(x):
-        return step_energy_discrete(
+        return step_energy_discrete_with_grads(
             _geometry(TriangleMesh(x, faces, validate=False)), vr, BODY
-        )
+        )[0]
 
     _directional_match(fun_r, grad_r, vr.copy(), rng)
     _directional_match(fun_l, grad_l, left.vertices.copy(), rng)
+
+
+@pytest.mark.parametrize("coeffs", [ONE_HOTS[0], BODY], ids=["a0", "body"])
+def test_path_energy_gradients_every_knot(coeffs):
+    # a three-step path: interior knots collect the right gradient of one
+    # step and the left gradient of the next, and all carry the factor T
+    rng = np.random.default_rng(500)
+    mesh = syn.bumpy_mesh(35, seed=5, bump=0.05)
+    steps = 0.05 * rng.standard_normal((3,) + mesh.vertices.shape)
+    knots = mesh.vertices + np.concatenate([np.zeros((1,) + mesh.vertices.shape),
+                                            np.cumsum(steps, axis=0)])
+    faces = mesh.faces
+
+    energy, grad = path_energy_with_grads(knots, faces, coeffs)
+    assert grad.shape == knots.shape
+    if coeffs is ONE_HOTS[0]:
+        # a0 alone: T * sum_t sum_i |q_{t+1, i} - q_{t, i}|^2 vol_i(q_t)
+        vols = [vertex_volumes(TriangleMesh(q, faces)) for q in knots[:-1]]
+        expected = 3 * sum(float(np.sum(s * s, axis=1) @ v) for s, v in zip(steps, vols))
+        assert energy == pytest.approx(expected, rel=1e-12)
+
+    def fun(x):
+        return path_energy_with_grads(x, faces, coeffs)[0]
+
+    _directional_match(fun, grad, knots.copy(), rng)
 
 
 @pytest.mark.parametrize(

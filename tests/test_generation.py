@@ -197,6 +197,24 @@ def test_gmm_save_load_roundtrip(tmp_path):
     assert np.array_equal(p2.means, pose.means)
 
 
+def test_gmm_truncated_in_every_section(tmp_path):
+    rng = np.random.default_rng(21)
+    shape = fit_gmm(rng.standard_normal((30, 2)), 2, seed=22)
+    pose = fit_gmm(rng.standard_normal((40, 3)), 3, seed=23)
+    path = tmp_path / "model.gmm"
+    save_gmm(path, shape, pose)
+    data = path.read_bytes()
+    k, d = shape.n_components, shape.dim
+    weights, means, covs = 20, 20 + 8 * k, 20 + 8 * (k + k * d)
+    second = covs + 8 * k * d * d
+    # block count, block sizes, weights, means, covariances, second block
+    for cut in (10, 14, weights + 4, means + 4, covs + 4, second + 3, len(data) - 1):
+        cut_path = tmp_path / f"cut_{cut}.gmm"
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=f"{cut_path.name}: truncated"):
+            load_gmm(cut_path)
+
+
 def test_gmm_bad_file(tmp_path):
     path = tmp_path / "junk.gmm"
     path.write_bytes(b"NOPE")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from elsa import (
     substitute_shape_block,
 )
 from elsa.latent import latent_path_energy_with_grad
+from elsa.mesh import MeshError
 
 import synthetic as syn
 
@@ -314,6 +317,22 @@ def test_basis_save_load_roundtrip(tmp_path):
     assert np.array_equal(back.fields, basis.fields)
     assert np.array_equal(back.template.vertices, basis.template.vertices)
     assert np.array_equal(back.template.faces, basis.template.faces)
+
+
+def test_basis_truncated_in_every_section(tmp_path):
+    basis = _basis(27)
+    path = tmp_path / "basis.lsb"
+    save_basis(basis, path)
+    data = path.read_bytes()
+    blob_end = 16 + int.from_bytes(data[8:16], "little")
+    header_end = data.index(b"end_header\n") + len(b"end_header\n")
+    faces_start = header_end + 24 * basis.template.n_vertices
+    # blob length, PLY header, vertices, faces, block sizes, fields
+    for cut in (8, 12, 26, header_end + 5, faces_start + 7, blob_end + 10, len(data) - 1):
+        cut_path = tmp_path / f"cut_{cut}.lsb"
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(MeshError, match=re.escape(f"{cut_path}: truncated")):
+            load_basis(cut_path)
 
 
 def test_basis_bad_magic(tmp_path):

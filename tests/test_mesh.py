@@ -106,6 +106,19 @@ def test_roundtrip_random_meshes(tmp_path, fmt, binary):
         assert np.max(np.abs(back.vertices - mesh.vertices)) < 1e-6
 
 
+def test_ply_binary_truncated(tmp_path):
+    mesh = syn.bumpy_mesh(20, seed=1)
+    path = tmp_path / "m.ply"
+    save_mesh(mesh, path, binary=True)
+    data = path.read_bytes()
+    faces_start = len(data) - 13 * mesh.n_faces
+    for cut in (faces_start - 5, faces_start, faces_start + 6):  # vertices, faces
+        cut_path = tmp_path / f"cut_{cut}.ply"
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(MeshParseError, match="truncated"):
+            load_mesh(cut_path)
+
+
 def test_ply_binary_nontriangle_rejected(tmp_path):
     mesh = UNIT_RIGHT
     path = tmp_path / "bad.ply"

@@ -106,11 +106,11 @@ def test_failed_memory_direction_retried_along_steepest_descent(monkeypatch):
     real = solvers._line_search
     steepest = []
 
-    def memory_direction_fails_once(fun, x, f0, g0, d, cfg):
+    def memory_direction_fails_once(fun, x, f0, g0, d):
         steepest.append(bool(np.array_equal(d, -g0)))
         if steepest.count(False) == 1 and not steepest[-1]:
             return None
-        return real(fun, x, f0, g0, d, cfg)
+        return real(fun, x, f0, g0, d)
 
     monkeypatch.setattr(solvers, "_line_search", memory_direction_fails_once)
     x, report = minimize(lambda x: (0.5 * float(x @ amat @ x), amat @ x), np.ones(3), TIGHT)
@@ -256,6 +256,17 @@ def test_bvp_equal_endpoints():
     path, report = geodesic_bvp(basis, alpha, alpha, 5, BODY, TIGHT)
     assert latent_path_energy(basis, path, BODY) < 1e-10
     assert np.max(np.abs(path - alpha)) < 1e-6
+
+
+def test_bvp_single_step_has_no_free_knot():
+    basis = syn.random_basis(syn.icosphere(1), 2, 2, seed=7)
+    a0 = 0.05 * np.ones(basis.dim)
+    a1 = -0.03 * np.arange(basis.dim)
+    path, report = geodesic_bvp(basis, a0, a1, 1, BODY, TIGHT)
+    assert np.array_equal(path, np.stack([a0, a1]))
+    assert report.iterations == [0]
+    assert report.reason == "converged"
+    assert report.value == latent_path_energy(basis, path, BODY)
 
 
 def test_bvp_translation_basis_straight_line():
