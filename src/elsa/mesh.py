@@ -19,16 +19,25 @@ Conventions used throughout the package:
   ``(L h)_i = sum_j (cot a_ij + cot b_ij) (h_i - h_j)``, with boundary edges
   contributing their single available cotangent and no clamping of negative
   cotangents.
+
+PLY files are read in ASCII or binary little-endian (not big-endian), with
+values of each property's declared type.  The vertex element needs scalar
+``x``, ``y`` and ``z`` among any other scalars, in any order; the face
+element holds one index list of triangles (any count and item type) among
+scalars before or after it.  Other elements are skipped if all their
+properties are scalar; a list property anywhere else raises.
 """
 
 from __future__ import annotations
 
-import struct
+import io
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.spatial import ConvexHull, QhullError
 
 
 class MeshError(ValueError):
@@ -324,19 +333,22 @@ def mesh_edges(mesh):
 def mesh_diameter(mesh):
     """Exact diameter of the vertex set (max pairwise distance).
 
-    Uses the convex hull to prune candidates; falls back to the brute-force
-    pairwise maximum for tiny or degenerate inputs.
+    Uses the convex hull to prune candidates; tiny and flat inputs, which
+    have no 3-D hull, take the brute-force pairwise maximum over row blocks
+    of about 65k pairs.
     """
     pts = mesh.vertices
     if pts.shape[0] > 16:
         try:
-            from scipy.spatial import ConvexHull
-
             pts = pts[ConvexHull(pts).vertices]
-        except Exception:
+        except QhullError:
             pass
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+    best = 0.0
+    step = max(1, 2**16 // max(1, len(pts)))
+    for start in range(0, len(pts), step):
+        diff = pts[start:start + step, None, :] - pts[None, :, :]
+        best = max(best, np.einsum("ijk,ijk->ij", diff, diff).max())
+    return float(np.sqrt(best))
 
 
 def normalize_unit_diameter(mesh):
@@ -358,19 +370,22 @@ def normalize_unit_diameter(mesh):
 # ---------------------------------------------------------------------------
 
 
-def load_mesh(path, format=None):
-    """Load a triangle mesh from an OBJ or PLY file.
+def load_mesh(path):
+    """Load a triangle mesh from an OBJ or PLY file, by its suffix.
 
-    PLY may be ASCII or binary little-endian; OBJ must be ASCII (normals and
-    texture coordinates are ignored).  Faces with more or fewer than three
+    OBJ must be ASCII; normals and texture coordinates are ignored.  PLY may
+    be ASCII or binary little-endian, with ``x y z`` vertices and one index
+    list per face among other scalar properties; other scalar elements are
+    skipped (see the module notes).  Faces with more or fewer than three
     vertices are rejected.
     """
     path = Path(path)
-    fmt = (format or path.suffix.lstrip(".")).lower()
+    fmt = path.suffix.lstrip(".").lower()
     if fmt == "obj":
         vertices, faces = _read_obj(path)
     elif fmt == "ply":
-        vertices, faces = _read_ply(path)
+        with open(path, "rb") as fh:
+            vertices, faces = _read_ply_stream(fh, path)
     else:
         raise MeshParseError(f"unsupported mesh format: {fmt!r}")
     try:
@@ -379,18 +394,18 @@ def load_mesh(path, format=None):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def save_mesh(mesh, path, format=None, binary=False):
-    """Write a mesh as OBJ or PLY.
+def save_mesh(mesh, path, binary=False):
+    """Write a mesh as OBJ or PLY, by the suffix of ``path``.
 
     ASCII output uses ``repr`` floats, which round-trip exactly; binary PLY
     stores little-endian doubles.
     """
     path = Path(path)
-    fmt = (format or path.suffix.lstrip(".")).lower()
+    fmt = path.suffix.lstrip(".").lower()
     if fmt == "obj":
         _write_obj(mesh, path)
     elif fmt == "ply":
-        _write_ply(mesh, path, binary=binary)
+        path.write_bytes(ply_bytes(mesh, binary=binary))
     else:
         raise MeshParseError(f"unsupported mesh format: {fmt!r}")
 
@@ -405,9 +420,11 @@ def _read_obj(path):
             parts = line.split()
             tag = parts[0]
             if tag == "v":
-                if len(parts) < 4:
-                    raise MeshParseError(f"{path}:{lineno}: malformed vertex line")
-                vertices.append([float(x) for x in parts[1:4]])
+                try:
+                    x, y, z = map(float, parts[1:4])
+                except ValueError:
+                    raise MeshParseError(f"{path}:{lineno}: malformed vertex line") from None
+                vertices.append([x, y, z])
             elif tag == "f":
                 idx = parts[1:]
                 if len(idx) != 3:
@@ -453,110 +470,103 @@ def read_exact(fh, size, path):
     return data
 
 
-def _read_ply(path):
-    with open(path, "rb") as fh:
-        return _read_ply_stream(fh, path)
-
-
 def _read_ply_stream(fh, path):
+    """Vertices and faces of the PLY file open on the binary stream ``fh``.
+
+    One loop reads every element of either encoding as one record table
+    (:func:`_ply_records`), so both give the same arrays or the same error.
+    """
     if fh.readline().strip() != b"ply":
         raise MeshParseError(f"{path}: not a PLY file")
     fmt = None
-    elements = []  # (name, count, [(prop_name, dtype) or ('list', count_t, item_t, name)])
-    while True:
-        line = fh.readline()
-        if not line:
-            raise MeshParseError(f"{path}: unexpected end of header")
-        tokens = line.decode("ascii", "replace").strip().split()
-        if not tokens or tokens[0] == "comment":
+    elements = []  # (name, count, record fields); list "p" is fields "p count" and "p"
+    while (line := fh.readline()).strip() != b"end_header":
+        if not line.endswith(b"\n"):
+            raise MeshParseError(f"{path}: truncated header")
+        tokens = line.decode("ascii", "replace").split()
+        try:
+            if not tokens or tokens[0] in ("comment", "obj_info"):
+                continue
+            if tokens[0] == "format":
+                fmt = tokens[1]
+            elif tokens[0] == "element":
+                elements.append((tokens[1], int(tokens[2]), []))
+                if elements[-1][1] < 0:
+                    raise ValueError
+            elif tokens[0] == "property" and tokens[1:2] == ["list"]:
+                _, _, count_t, item_t, prop = tokens
+                elements[-1][2].extend([(f"{prop} count", "<" + _PLY_TYPES[count_t]),
+                                        (prop, "<" + _PLY_TYPES[item_t], (3,))])
+            elif tokens[0] == "property":
+                _, scalar_t, prop = tokens
+                elements[-1][2].append((prop, "<" + _PLY_TYPES[scalar_t]))
+        except (IndexError, KeyError, ValueError):
+            raise MeshParseError(f"{path}: bad PLY header line {' '.join(tokens)!r}") from None
+    if fmt not in ("ascii", "binary_little_endian"):
+        raise MeshParseError(f"{path}: unsupported PLY format {fmt!r}")
+    vertices, faces = None, np.empty((0, 3), dtype=np.int64)
+    for name, count, fields in elements:
+        lists = [field[0] for field in fields if len(field) == 3]
+        if name == "face" and len(lists) != 1:
+            raise MeshParseError(f"{path}: face element must hold one index list")
+        if name != "face" and lists:
+            raise MeshParseError(f"{path}: cannot read list property in {name!r} element")
+        rec = _ply_records(fh, path, fmt != "ascii", name, count, fields)
+        if name == "vertex":
+            if not {"x", "y", "z"} <= set(rec.dtype.names):
+                raise MeshParseError(f"{path}: vertex element needs properties x, y and z")
+            vertices = np.stack([rec[c] for c in "xyz"], axis=1).astype(np.float64)
+        elif name == "face":
+            faces = rec[lists[0]].astype(np.int64)
+    if vertices is None:
+        raise MeshParseError(f"{path}: no vertex element")
+    return vertices, faces
+
+
+def _ply_records(fh, path, binary, name, count, fields):
+    """The ``count`` rows of one PLY element as a structured record array.
+
+    A list is read as its count and three items, so all rows have one width:
+    a binary row is raw bytes, an ASCII row one line split into tokens.  A
+    count other than 3 raises the non-triangle error at its row, before a
+    short element raises as truncated.
+    """
+    lines = rows = ()
+    try:
+        dtype = np.dtype(fields)
+        # token offset of each field in an ASCII row
+        starts = np.cumsum([0] + [dtype[f].itemsize // dtype[f].base.itemsize for f in dtype.names])
+        if binary:
+            data = fh.read(dtype.itemsize * count)
+            rec = np.frombuffer(data, dtype, count=len(data) // max(dtype.itemsize, 1))
+        else:
+            lines = list(islice(fh, count))
+            rows = list(map(bytes.split, lines))
+            full = np.fromiter(map(len, rows), np.intp, len(rows)) == starts[-1]
+            # the rows before the first one of another width
+            rec = np.empty(int(np.argmin(np.append(full, False))), dtype)
+            table = np.array(rows[: len(rec)], dtype=bytes).reshape(len(rec), starts[-1])
+            for f, a, b in zip(dtype.names, starts, starts[1:]):
+                rec[f] = table[:, a:b].reshape(rec[f].shape)
+    except (ValueError, OverflowError) as exc:
+        raise MeshParseError(f"{path}: bad {name!r} element: {exc}") from None
+    n = len(rec)
+    # ASCII: a whole line of another width (only the cut last line has no newline)
+    odd = rows[n] if n < len(lines) and lines[n].endswith(b"\n") else None
+    for f, a in zip(dtype.names, starts):
+        if not f.endswith(" count"):
             continue
-        if tokens[0] == "format":
-            fmt = tokens[1]
-        elif tokens[0] == "element":
-            elements.append((tokens[1], int(tokens[2]), []))
-        elif tokens[0] == "property":
-            if not elements:
-                raise MeshParseError(f"{path}: property before element")
-            if tokens[1] == "list":
-                elements[-1][2].append(("list", tokens[2], tokens[3], tokens[4]))
-            else:
-                elements[-1][2].append((tokens[2], tokens[1]))
-        elif tokens[0] == "end_header":
-            break
-    if fmt == "ascii":
-        return _read_ply_ascii(fh, elements, path)
-    if fmt == "binary_little_endian":
-        return _read_ply_binary(fh, elements, path)
-    raise MeshParseError(f"{path}: unsupported PLY format {fmt!r}")
-
-
-def _ply_vertex_layout(props, path):
-    names = [p[0] for p in props]
-    if any(p[0] == "list" for p in props):
-        raise MeshParseError(f"{path}: list property in vertex element")
-    for coord in ("x", "y", "z"):
-        if coord not in names:
-            raise MeshParseError(f"{path}: vertex element missing property {coord!r}")
-    return names.index("x"), names.index("y"), names.index("z")
-
-
-def _read_ply_ascii(fh, elements, path):
-    vertices = faces = None
-    for name, count, props in elements:
-        if name == "vertex":
-            ix, iy, iz = _ply_vertex_layout(props, path)
-            rows = np.empty((count, 3))
-            for i in range(count):
-                parts = fh.readline().split()
-                if len(parts) < len(props):
-                    raise MeshParseError(f"{path}: truncated vertex data")
-                rows[i] = (float(parts[ix]), float(parts[iy]), float(parts[iz]))
-            vertices = rows
-        elif name == "face":
-            rows = np.empty((count, 3), dtype=np.int64)
-            for i in range(count):
-                parts = fh.readline().split()
-                k = int(parts[0])
-                if k != 3:
-                    raise MeshParseError(f"{path}: non-triangle face with {k} vertices")
-                rows[i] = [int(p) for p in parts[1:4]]
-            faces = rows
-        else:
-            for _ in range(count):
-                fh.readline()
-    if vertices is None:
-        raise MeshParseError(f"{path}: no vertex element")
-    return vertices, faces if faces is not None else np.empty((0, 3), dtype=np.int64)
-
-
-def _read_ply_binary(fh, elements, path):
-    vertices = faces = None
-    for name, count, props in elements:
-        if name == "vertex":
-            ix, iy, iz = _ply_vertex_layout(props, path)
-            dtype = np.dtype([(f"p{i}", "<" + _PLY_TYPES[t]) for i, (_, t) in enumerate(props)])
-            data = np.frombuffer(read_exact(fh, dtype.itemsize * count, path), dtype=dtype)
-            vertices = np.stack(
-                [data[f"p{ix}"], data[f"p{iy}"], data[f"p{iz}"]], axis=1
-            ).astype(np.float64)
-        elif name == "face":
-            spec = props[0]
-            if spec[0] != "list":
-                raise MeshParseError(f"{path}: face element must hold an index list")
-            count_t = np.dtype("<" + _PLY_TYPES[spec[1]])
-            item_t = np.dtype("<" + _PLY_TYPES[spec[2]])
-            rows = np.empty((count, 3), dtype=np.int64)
-            for i in range(count):
-                k = int(np.frombuffer(read_exact(fh, count_t.itemsize, path), dtype=count_t)[0])
-                if k != 3:
-                    raise MeshParseError(f"{path}: non-triangle face with {k} vertices")
-                rows[i] = np.frombuffer(read_exact(fh, item_t.itemsize * 3, path), dtype=item_t)
-            faces = rows
-        else:
-            raise MeshParseError(f"{path}: cannot skip binary element {name!r}")
-    if vertices is None:
-        raise MeshParseError(f"{path}: no vertex element")
-    return vertices, faces if faces is not None else np.empty((0, 3), dtype=np.int64)
+        bad = np.flatnonzero(rec[f] != 3)
+        if bad.size or odd is not None and len(odd) > a and odd[a] != b"3":
+            k, row = (rec[f][bad[0]], bad[0]) if bad.size else (odd[a].decode("ascii", "ignore"), n)
+            raise MeshParseError(f"{path}: non-triangle face with {k} vertices (face {row})")
+    if odd is not None:
+        raise MeshParseError(f"{path}: {name!r} row {n} holds {len(odd)} values, "
+                             f"{starts[-1]} expected")
+    if n < count:
+        raise MeshParseError(f"{path}: truncated {name!r} element: {count} rows expected, "
+                             f"{n} found")
+    return rec
 
 
 def ply_bytes(mesh, binary=True):
@@ -575,8 +585,10 @@ def ply_bytes(mesh, binary=True):
     chunks = [("\n".join(header) + "\n").encode("ascii")]
     if binary:
         chunks.append(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
-        for a, b, c in mesh.faces:
-            chunks.append(struct.pack("<Biii", 3, a, b, c))
+        faces = np.empty(mesh.n_faces, dtype=[("k", "u1"), ("v", "<i4", (3,))])
+        faces["k"] = 3
+        faces["v"] = mesh.faces
+        chunks.append(faces.tobytes())
     else:
         for x, y, z in mesh.vertices:
             chunks.append(f"{float(x)!r} {float(y)!r} {float(z)!r}\n".encode("ascii"))
@@ -587,12 +599,6 @@ def ply_bytes(mesh, binary=True):
 
 def mesh_from_ply_bytes(data):
     """Parse a mesh from an in-memory PLY byte string."""
-    import io
-
     vertices, faces = _read_ply_stream(io.BytesIO(data), "<bytes>")
     return TriangleMesh(vertices, faces)
 
-
-def _write_ply(mesh, path, binary=False):
-    with open(path, "wb") as fh:
-        fh.write(ply_bytes(mesh, binary=binary))

@@ -149,9 +149,9 @@ def test_truncated_containers_exit_2(workspace, capsys):
     ws = workspace
     tmp = ws["tmp"]
 
-    def one_error_line():
+    def one_error_line(reason=": truncated"):  # tmp_path itself holds "truncated"
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0], err
+        assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0], err
 
     basis = ws["basis"]
     rng = np.random.default_rng(8)
@@ -173,6 +173,21 @@ def test_truncated_containers_exit_2(workspace, capsys):
         save_config(cfg, tmp / "cut.ini")
         assert _run("register", "--config", tmp / "cut.ini", ws["target_path"]) == 2
         one_error_line()
+
+    ply_path = tmp / "target.ply"
+    save_mesh(load_mesh(ws["target_path"]), ply_path)  # ASCII
+    data = ply_path.read_bytes()
+    after_last_full_line = data.rindex(b"\n", 0, len(data) - 1) + 1
+    for cut in (after_last_full_line, len(data) - 4):
+        cut_path = tmp / f"cut_{cut}.ply"
+        cut_path.write_bytes(data[:cut])
+        assert _run("distance", "--config", ws["cfg_path"], ws["target_path"], cut_path) == 2
+        one_error_line()
+
+    bad_obj = tmp / "bad_vertex.obj"
+    bad_obj.write_text(ws["target_path"].read_text().replace("v ", "v 1 abc 0\nv ", 1))
+    assert _run("distance", "--config", ws["cfg_path"], ws["target_path"], bad_obj) == 2
+    one_error_line(":1: malformed vertex line")
 
 
 def test_register_missing_target_exit_2(workspace):

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,33 +109,126 @@ def test_roundtrip_random_meshes(tmp_path, fmt, binary):
         assert np.max(np.abs(back.vertices - mesh.vertices)) < 1e-6
 
 
-def test_ply_binary_truncated(tmp_path):
+def _ply_row_ends(data, mesh, binary):
+    """Byte offsets of the header end and of every vertex and face row end."""
+    body = data.index(b"end_header\n") + len(b"end_header\n")
+    if not binary:
+        return [body] + [i + 1 for i in range(body, len(data)) if data[i] == ord("\n")]
+    vertex_ends = [body + 24 * i for i in range(mesh.n_vertices + 1)]
+    return vertex_ends + [vertex_ends[-1] + 13 * j for j in range(1, mesh.n_faces + 1)]
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+def test_ply_truncated(tmp_path, binary):
     mesh = syn.bumpy_mesh(20, seed=1)
     path = tmp_path / "m.ply"
-    save_mesh(mesh, path, binary=True)
+    save_mesh(mesh, path, binary=binary)
     data = path.read_bytes()
-    faces_start = len(data) - 13 * mesh.n_faces
-    for cut in (faces_start - 5, faces_start, faces_start + 6):  # vertices, faces
+    ends = _ply_row_ends(data, mesh, binary)
+    n, m = mesh.n_vertices, mesh.n_faces
+    assert len(ends) == n + m + 1 and ends[-1] == len(data)
+    cuts = {
+        "inside the header": ends[0] - 5,
+        "after the last full vertex row": ends[n],
+        "mid vertex row": (ends[n // 2] + ends[n // 2 + 1]) // 2,
+        "after the last full face row": ends[n + m - 1],
+        "mid face row": (ends[n + m // 2] + ends[n + m // 2 + 1]) // 2,
+    }
+    for where, cut in cuts.items():
         cut_path = tmp_path / f"cut_{cut}.ply"
         cut_path.write_bytes(data[:cut])
-        with pytest.raises(MeshParseError, match="truncated"):
+        with pytest.raises(MeshParseError, match=": truncated"):  # not the "truncated" of tmp_path
             load_mesh(cut_path)
+            pytest.fail(f"cut {where} was read")
 
 
-def test_ply_binary_nontriangle_rejected(tmp_path):
-    mesh = UNIT_RIGHT
+def _ply_file(binary, header, records, text_rows):
+    """A PLY file in either encoding: binary records or ASCII text rows."""
+    fmt = "binary_little_endian" if binary else "ascii"
+    head = "\n".join(["ply", f"format {fmt} 1.0", *header, "end_header", ""]).encode()
+    if binary:
+        return head + b"".join(r.tobytes() for r in records)
+    return head + "".join(row + "\n" for row in text_rows).encode()
+
+
+def _triangle_file(binary, count, indices):
+    header = [
+        "element vertex 3", "property double x", "property double y", "property double z",
+        "element face 1", "property list uchar int vertex_indices",
+    ]
+    verts = np.asarray(UNIT_RIGHT.vertices, dtype="<f8")
+    face = np.array([count], "u1").tobytes() + np.array(indices, dtype="<i4").tobytes()
+    rows = ["0.0 0.0 0.0", "1.0 0.0 0.0", "0.0 1.0 0.0", " ".join(map(str, [count, *indices]))]
+    return _ply_file(binary, header, [verts, np.frombuffer(face, "u1")], rows)
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+def test_ply_nontriangle_rejected(tmp_path, binary):
     path = tmp_path / "bad.ply"
-    data = bytearray()
-    header = (
-        "ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
-        "property double x\nproperty double y\nproperty double z\n"
-        "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
-    )
-    data += header.encode()
-    data += np.asarray(mesh.vertices, dtype="<f8").tobytes()
-    data += bytes([4]) + np.array([0, 1, 2, 2], dtype="<i4").tobytes()
-    path.write_bytes(data)
-    with pytest.raises(MeshParseError):
+    path.write_bytes(_triangle_file(binary, 4, [0, 1, 2, 2]))
+    with pytest.raises(MeshParseError, match="non-triangle face with 4 vertices"):
+        load_mesh(path)
+
+
+def test_ply_encodings_read_the_same_extended_layout(tmp_path):
+    """Extra scalars around x and the index list, a skipped element, a uint8/uint32 list."""
+    mesh = syn.bumpy_mesh(40, seed=4)
+    n, m = mesh.n_vertices, mesh.n_faces
+    header = [
+        f"element vertex {n}", "property float confidence",
+        "property double x", "property double y", "property double z",
+        "element edge 2", "property int vertex1", "property int vertex2",
+        f"element face {m}", "property short tag",
+        "property list uint8 uint32 vertex_indices", "property uchar flags",
+    ]
+    verts = np.zeros(n, [("confidence", "<f4"), ("xyz", "<f8", (3,))])
+    verts["confidence"] = np.linspace(0.0, 1.0, n)
+    verts["xyz"] = mesh.vertices
+    edges = np.array([(0, 1), (1, 2)], [("a", "<i4"), ("b", "<i4")])
+    faces = np.zeros(m, [("tag", "<i2"), ("k", "u1"), ("v", "<u4", (3,)), ("flags", "u1")])
+    faces["tag"] = -np.arange(m)
+    faces["k"] = 3
+    faces["v"] = mesh.faces
+    faces["flags"] = np.arange(m) % 8  # 3 and 0 included
+    rows = [f"{c!r} {x!r} {y!r} {z!r}" for c, (x, y, z) in
+            zip(verts["confidence"].tolist(), mesh.vertices.tolist())]
+    rows += ["0 1", "1 2"]
+    rows += [f"{t} 3 {a} {b} {c} {fl}" for t, (a, b, c), fl in
+             zip(faces["tag"].tolist(), mesh.faces.tolist(), faces["flags"].tolist())]
+    meshes = []
+    for binary in (False, True):
+        path = tmp_path / f"extended_{binary}.ply"
+        path.write_bytes(_ply_file(binary, header, [verts, edges, faces], rows))
+        meshes.append(load_mesh(path))
+    for back in meshes:
+        assert np.array_equal(back.vertices, mesh.vertices)
+        assert np.array_equal(back.faces, mesh.faces)
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["ascii", "binary"])
+@pytest.mark.parametrize(
+    "line,bad",
+    [
+        ("property double x", "property float64x x"),
+        ("property double y", "property double"),
+        ("format (ascii|binary_little_endian)", "format binary_big_endian"),
+        ("element face", "element range 0\nproperty list uchar int points\nelement face"),
+    ],
+    ids=["unknown_type", "malformed_property", "big_endian", "list_in_other_element"],
+)
+def test_ply_bad_header(tmp_path, binary, line, bad):
+    path = tmp_path / "bad.ply"
+    path.write_bytes(re.sub(line.encode(), bad.encode(), _triangle_file(binary, 3, [0, 1, 2])))
+    with pytest.raises(MeshParseError) as err:
+        load_mesh(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("line", ["v 1 abc 0", "v 1 2"])
+def test_obj_malformed_vertex_line(tmp_path, line):
+    path = tmp_path / "bad.obj"
+    path.write_text(f"v 0 0 0\n{line}\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(MeshParseError, match=f"{re.escape(str(path))}:2: malformed vertex line"):
         load_mesh(path)
 
 
@@ -406,6 +502,22 @@ def test_diameter_and_normalization():
     unit, scale = normalize_unit_diameter(mesh)
     assert scale == pytest.approx(4.0, rel=1e-12)
     assert mesh_diameter(unit) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_diameter_of_flat_mesh_in_row_blocks():
+    """A planar mesh has no 3-D hull: the exact brute force runs in small blocks."""
+    mesh = syn.grid_mesh(40, 40, spacing=0.1)
+    diff = mesh.vertices[:, None, :] - mesh.vertices[None, :, :]
+    dense = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+    del diff
+    tracemalloc.start()
+    try:
+        value = mesh_diameter(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == dense
+    assert peak < 4e6
 
 
 def test_mesh_edges_euler():
