@@ -25,14 +25,18 @@ unit normal, edge matrix, vertex volume, cotangent weights) into one
 ``(M, 3, 2)`` edge-matrix adjoint, which :func:`edge_corners` and the one
 scatter, :func:`mesh.scatter_corners`, sum onto the vertices.
 
-The face-local terms of the foot-point gradient (a1, b1, c1, d1 and their
-area channel, :func:`face_terms`) are linear in the second field's per-face
-differential, so their edge adjoint is one 6x6 block per face applied to
-it.  :func:`h2_gradient_pairing` builds the blocks from the six unit
-differentials and pairs whole stacks of fields with them: the Jacobian of
-a shooting step costs a fixed number of mesh passes, whatever the number of
-fields.  Each channel is exercised against central finite differences by
-the test suite; the algebra is unforgiving, the tests are not optional.
+Stacks of fields meet the metric through per-face 6x6 blocks paired with
+their cached per-face differentials (:func:`pair_blocks`,
+``sum_f df_i^T B_f df_j``).  The face-local metric terms themselves are one
+closed-form block per face (:func:`face_blocks`), which the latent Gram
+pairs.  The face-local terms of the foot-point gradient (a1, b1, c1, d1 and
+their area channel, :func:`face_terms`) are linear in the second field's
+per-face differential, so their edge adjoint is one 6x6 block per face
+applied to it: :func:`h2_gradient_pairing` builds those blocks from the six
+unit differentials, and the Jacobian of a shooting step costs a fixed number
+of mesh passes, whatever the number of fields.  Each channel is exercised
+against central finite differences by the test suite; the algebra is
+unforgiving, the tests are not optional.
 """
 
 from __future__ import annotations
@@ -95,8 +99,9 @@ def cot_edge_grads(frames):
 
 
 def cot_channel(frames, lam):
-    """Edge-matrix gradients of ``sum_{f, corner} lam[f, corner] * cot(angle)``."""
-    return np.einsum("mc,mcij->mij", lam, cot_edge_grads(frames))
+    """Edge-matrix gradients of ``sum_{f, corner} lam(corner)[f] * cot(angle)``."""
+    dcot = cot_edge_grads(frames)
+    return sum(lam(corner)[:, None, None] * dcot[:, corner] for corner in range(3))
 
 
 def _vertex_thirds(faces, g_vol):
@@ -116,23 +121,40 @@ def _edge_diff(x, i, j):
     return d
 
 
-def _laplacian_edge_lambda(faces, vol, u, lap_u, v, lap_v):
-    """Per-face-corner adjoints of the cotangent weights for the a2 term.
+def _laplacian_lambda(faces, vol, u, lap_u, v, lap_v):
+    """Adjoints of the corner cotangents for the a2 term, as a function of the corner.
 
     Corner ``k`` owns the cotangent feeding edge ``(i, j)``; its adjoint is
     ``(u_i - u_j).(vol_i (Lv)_i - vol_j (Lv)_j)`` plus the ``u <-> v`` term,
     which is the same term again when ``v is u``.  ``v`` and ``lap_v`` may
-    carry trailing axes, ``(N, 3, ...)``, and the result ``(M, 3, ...)``.
+    carry trailing axes, ``(N, 3, ...)``.  The returned function gives one
+    corner's ``(M, ...)`` adjoint, summed one coordinate at a time, so no
+    ``(M, 3, ...)`` gather is held.
     """
-    lam = np.empty((faces.shape[0], 3) + v.shape[2:])
-    wv = vol.reshape((-1,) + (1,) * (v.ndim - 1)) * lap_v
-    wu = wv if v is u else vol[:, None] * lap_u
-    for corner, (ia, ib) in enumerate(_OPPOSITE):
-        i = faces[:, ia]
-        j = faces[:, ib]
-        t = _dot3(u[i] - u[j], _edge_diff(wv, i, j))
-        lam[:, corner] = t + (t if v is u else _dot3(_edge_diff(v, i, j), wu[i] - wu[j]))
-    return lam
+    trail = (1,) * (v.ndim - 2)
+    vol_v = vol.reshape((-1,) + trail)
+    wu = vol[:, None] * lap_u
+
+    def corner_lambda(corner):
+        i, j = (faces[:, c] for c in _OPPOSITE[corner])
+        du = _edge_diff(u, i, j).reshape((-1, 3) + trail)
+        dwu = None if v is u else _edge_diff(wu, i, j).reshape((-1, 3) + trail)
+        lam = 0.0
+        for k in range(3):
+            t = _edge_diff(vol_v * lap_v[:, k], i, j)
+            t *= du[:, k]
+            if v is u:
+                t += t
+            else:
+                d = _edge_diff(v[:, k], i, j)
+                d *= dwu[:, k]
+                t += d
+                del d
+            lam += t
+            del t
+        return lam
+
+    return corner_lambda
 
 
 def trace_form(G, X, Y, c, b):
@@ -158,25 +180,71 @@ def trace_form(G, X, Y, c, b):
     return value, Ax, Ay, G @ (X @ Ax + Y @ Ay)
 
 
-def vertex_terms(geom, u, v, a0, a2, lap_v=None):
+def vertex_terms(geom, u, v, a0, a2):
     """The a0 and a2 terms of ``G_q(u, v)`` as a per-vertex density.
 
     ``v`` may carry trailing axes, ``(N, 3, ...)``, over which the results
-    broadcast; ``lap_v``, the Laplacian of ``v``, is formed when not given.
-    Returns ``(density, lap_v, lam)``: the terms sum to ``density @ vol``, so
-    the density is also the adjoint of the vertex volumes; ``lam`` is the a2
-    term's adjoint of the corner cotangents (:func:`cot_edge_grads`).
-    ``lap_v`` and ``lam`` are ``None`` without a2.
+    broadcast.  Returns ``(density, lap_v, lam)``: the terms sum to
+    ``density @ vol``, so the density is also the adjoint of the vertex
+    volumes; ``lam(corner)`` is the a2 term's ``(M, ...)`` adjoint of that
+    corner's cotangents (:func:`cot_edge_grads`), formed on each call.
+    ``lap_v`` (the Laplacian of ``v``) and ``lam`` are ``None`` without a2.
     """
     density = a0 * _dot3(u, v) if a0 else np.zeros((len(v),) + v.shape[2:])
-    lam = None
+    lap_v = lam = None
     if a2:
-        if lap_v is None:
-            lap_v = (geom.lap @ v.reshape(len(v), -1)).reshape(v.shape)
+        lap_v = (geom.lap @ v.reshape(len(v), -1)).reshape(v.shape)
         lap_u = lap_v if v is u else geom.lap @ u
         density += a2 * _dot3(lap_u, lap_v)
-        lam = a2 * _laplacian_edge_lambda(geom.mesh.faces, geom.vol, u, lap_u, v, lap_v)
+        # the adjoints are linear in the vertex volumes, which carry the weight
+        lam = _laplacian_lambda(geom.mesh.faces, a2 * geom.vol, u, lap_u, v, lap_v)
     return density, lap_v, lam
+
+
+def face_blocks(geom, coefficients):
+    """Per-face 6x6 blocks ``Q_f`` of the face-local terms (a1, b1, c1, d1).
+
+    With per-face differentials flattened row-major to 6-vectors, the a1, b1,
+    c1 and d1 part of ``G_q(h, k)`` is ``sum_f dh_f^T Q_f dk_f``.  The terms
+    read ``dh`` through ``X = dq^T dh`` and its normal components
+    ``z = n^T dh``: the normal variation is ``(z_0 n x e2 + z_1 e1 x n) / s``
+    with ``s = 2 area``, whose Gram is ``s^2 G`` for the inverse metric
+    tensor ``G``, and an antisymmetric ``X - X^T = x J`` has
+    ``tr(G J G J^T) = 2 det G = 2 / s^2``.  With the dual edges ``R = dq G``
+    and ``V = [-e2, e1]``, in index pairs ``(k, b), (l, d)``:
+
+        Q = area ((2 a1 (I - n n^T) + c1 n n^T)_kl G_bd
+                  + 2 a1 R_kd R_lb + 4 b1 R_kb R_ld) + (d1 / s) V_kb V_ld
+
+    Each block is symmetric, and positive semidefinite for nonnegative
+    weights.  The algebra runs with the faces on the last axis; the result
+    is an ``(M, 6, 6)`` view of it.
+    """
+    fr = geom.frames
+    _, a1, b1, c1, d1, _ = coefficients.as_array()
+    area = fr.area
+    e = fr.dq.transpose(1, 2, 0)  # (3, 2, M)
+    G = geom.ginv.transpose(1, 2, 0)  # (2, 2, M)
+    n = fr.n.T
+    normal = ((c1 - 2.0 * a1) * area) * (n[:, None] * n[None])  # (3, 3, M)
+    normal[[0, 1, 2], [0, 1, 2]] += 2.0 * a1 * area
+    R = e[:, 0, None] * G[0] + e[:, 1, None] * G[1]  # (3, 2, M)
+    V = np.stack([-e[:, 1], e[:, 0]], axis=1)
+    Q = normal[:, None, :, None] * G[None, :, None, :]  # (k, b, l, d, M)
+    Q += (2.0 * a1 * area) * R[:, None, None, :] * R.transpose(1, 0, 2)[None, :, :, None]
+    Q += (4.0 * b1 * area) * R[:, :, None, None] * R
+    Q += (d1 / (2.0 * area)) * V[:, :, None, None] * V
+    return Q.reshape(6, 6, -1).transpose(2, 0, 1)
+
+
+def pair_blocks(df, blocks):
+    """``sum_f df_f^T B_f df_f``, a ``(P, P)`` matrix, over per-face 6x6 blocks.
+
+    ``df`` holds ``P`` fields' per-face differentials as ``(M, 6, P)`` and
+    ``blocks`` the ``(M, 6, 6)`` blocks ``B_f``.
+    """
+    M, _, P = df.shape
+    return df.reshape(6 * M, P).T @ (blocks @ df).reshape(6 * M, P)
 
 
 def face_terms(geom, du, dv, coefficients):
@@ -204,23 +272,25 @@ def face_terms(geom, du, dv, coefficients):
     pv = pu if same else dq.swapaxes(1, 2) @ dv
 
     def trace_pass(c, b, part):
-        """Area and edge adjoints of ``c tr(G X G Y) + b tr(G X) tr(G Y)`` on ``part``."""
+        """Adds the area and edge adjoints of ``c tr(G X G Y) + b tr(G X) tr(G Y)`` on ``part``."""
         X = part(pu, pu.swapaxes(-1, -2))
         Y = X if same else part(pv, pv.swapaxes(-1, -2))
         value, Ax, Ay, S = trace_form(geom.ginv, X, Y, c, b)
+        del X, Y
+        g_area[...] += value
+        del value
         g = du @ Ax  # s (du Ax + dv Ay - dq S), one (..., M, 3, 2) temporary at a time
         g += dv @ Ay
         g -= dq @ S
         g *= s[:, None, None]
-        return value, g
+        g_dq[...] += g
 
     # For antisymmetric X, Y: tr(G X G Y^T) = -tr(G X G Y), so the rotation
     # term d1 is the shear form a1 on the antisymmetric parts, weighted -d1.
     for c, b, part in ((a1, b1, np.add), (-d1, 0.0, np.subtract)):
         if c or b:
-            value, g = trace_pass(c, b, part)
-            g_area += value
-            g_dq += g
+            trace_pass(c, b, part)
+    del pv
 
     if c1:
         dnu, wu = _normal_variation(fr, du)
@@ -230,16 +300,20 @@ def face_terms(geom, du, dv, coefficients):
         def normal_pass(dn_self, dn_other, w_self, dh):
             """Edge adjoints of ``c1 <dn_self, dn_other> area`` through ``dn_self``."""
             t = (c1 * area)[:, None] * dn_other  # adjoint of dn_self; t is normal-free
-            a_c = (
-                -(_rowdot(n, w_self) / s**2)[..., None] * t
-                - (_rowdot(t, dn_self) / s)[..., None] * n
-            )
-            g = cross_edge_grads(dh, t / s[:, None])
+            a_c = -(_rowdot(n, w_self) / s**2)[..., None] * t
+            a_c -= (_rowdot(t, dn_self) / s)[..., None] * n
+            t /= s[:, None]
+            g = cross_edge_grads(dh, t)
+            del t
             g += cross_edge_grads(dq, a_c)
             return g
 
-        g_u = normal_pass(dnu, dnv, wu, du)
-        g_dq += g_u + (g_u if same else normal_pass(dnv, dnu, wv, dv))
+        g = normal_pass(dnu, dnv, wu, du)
+        g_dq += g
+        if not same:
+            del g
+            g = normal_pass(dnv, dnu, wv, dv)
+        g_dq += g
 
     return g_dq, g_area
 
@@ -270,46 +344,55 @@ def h2_vertex_gradient(geom, u, v, coefficients):
     return scatter_corners(F, edge_corners(g_dq), geom.mesh.n_vertices)
 
 
-def h2_gradient_pairing(geom, fields, coefficients):
-    """The pairings ``K[i, j] = <f_i, grad_q G_q(u, f_j)>`` as a function of ``u``.
+def h2_gradient_pairing(geom, fields, df, coefficients):
+    """The pairings ``K[i, j] = <f_i, grad_q G_q(u, f_j)>`` for ``u = sum_k b_k f_k``.
 
-    ``fields`` is a ``(P, N, 3)`` stack ``f``; the returned function maps a
-    vertex field ``u`` to the ``(P, P)`` matrix ``K`` without a per-field
-    :func:`h2_vertex_gradient`.  That gradient is the scatter of a per-face
-    edge adjoint, so ``K[i, j]`` pairs the adjoint for ``f_j`` with the
-    per-face differentials ``df_i`` (6-vectors), summed over the faces:
+    ``fields`` is a ``(P, N, 3)`` stack ``f`` and ``df`` its per-face
+    differentials as ``(M, 6, P)`` (``LatentBasis.differentials``); the
+    returned function maps a code ``b`` to the ``(P, P)`` matrix ``K``
+    without a per-field :func:`h2_vertex_gradient`, and reads the
+    differential of ``u`` off ``df``.  That gradient is
+    the scatter of a per-face edge adjoint, so ``K[i, j]`` pairs the adjoint
+    for ``f_j`` with the differentials ``df_i`` (6-vectors), summed over the
+    faces:
 
     * the face-local terms (a1, b1, c1, d1 and their area channel) depend on
       ``f_j`` only through ``df_j``: their edge adjoint is ``B_f df_j`` with
       one 6x6 block ``B_f`` per face, which :func:`face_terms` gives from
-      the six unit differentials, so this part is ``sum_f df_i^T B_f df_j``;
+      the six unit differentials, so this part is :func:`pair_blocks`, as in
+      the Gram's ``sum_f df_i^T Q_f df_j``;
     * the a0/a2 density enters through the vertex-volume thirds, paired with
       the area derivatives ``darea_i``;
     * the a2 cotangent channel pairs ``lam_j`` with the cotangent
-      derivatives ``dcot_i`` over the face corners, with ``L f`` formed once
-      as one sparse product.
+      derivatives ``dcot_i``, one face corner at a time, after one sparse
+      product ``L f``.
     """
     F = geom.mesh.faces
     fr = geom.frames
     M = len(fr)
-    P, N = fields.shape[:2]
+    P = len(fields)
     a0, a2 = coefficients.a0, coefficients.a2
-    df = _field_differential(F, fields).reshape(P, M, 6).transpose(1, 2, 0).copy()  # (M, 6, P)
     unit = np.broadcast_to(np.eye(6).reshape(6, 1, 3, 2), (6, M, 3, 2))
     fv = fields.transpose(1, 2, 0)  # (N, 3, P)
-    lap_f = (geom.lap @ fv.reshape(N, 3 * P)).reshape(N, 3, P) if a2 else None
 
-    def pairing(u):
-        g_dq, g_area = face_terms(geom, _field_differential(F, u), unit, coefficients)
+    # the temporaries are dropped as soon as they are used, so that the pair
+    # product holds no more than the blocks and their product with df
+    def pairing(b):
+        g_dq, g_area = face_terms(geom, (df @ b).reshape(M, 3, 2), unit, coefficients)
         g_dq += area_edge_grads(fr.dq, fr.n, g_area)
-        blocks = g_dq.reshape(6, M, 6).transpose(1, 2, 0)  # B_f, (M, 6, 6)
-        out = df.reshape(6 * M, P).T @ (blocks @ df).reshape(6 * M, P)
-        density, _, lam = vertex_terms(geom, u, fv, a0, a2, lap_v=lap_f)
+        del g_area
+        out = pair_blocks(df, g_dq.reshape(6, M, 6).transpose(1, 2, 0))  # B_f, (M, 6, 6)
+        del g_dq
+        density, _, lam = vertex_terms(geom, np.tensordot(b, fields, axes=1), fv, a0, a2)
         darea = area_edge_grads(fr.dq, fr.n, np.ones(M)).reshape(M, 1, 6) @ df
         out += darea.reshape(M, P).T @ _vertex_thirds(F, density)
+        del density, darea
         if lam is not None:
-            dcot = cot_edge_grads(fr).reshape(M, 3, 6) @ df
-            out += dcot.reshape(3 * M, P).T @ lam.reshape(3 * M, P)
+            dcot = cot_edge_grads(fr).reshape(M, 3, 6)
+            for corner in range(3):
+                lam_c = lam(corner)
+                out += (dcot[:, corner, None] @ df).reshape(M, P).T @ lam_c
+                del lam_c
         return out
 
     return pairing

@@ -13,18 +13,26 @@ pulling the mesh metric back through the decoder: ``gram`` assembles the
 decoded foot point, and the path energy contracts code increments against
 it (forward convention, matching the discrete mesh path energy), in one
 loop, :func:`latent_path_energy_with_grad`, whose value is the path energy.
+
+The fields' per-face differentials do not depend on the foot point, so the
+basis caches them once (:attr:`LatentBasis.differentials`).  The Gram pairs
+them with one 6x6 metric block per face (:func:`_diff.face_blocks`), and
+the shooting Jacobian pairs them with the 6x6 blocks of the metric's
+foot-point derivative (:func:`_diff.h2_gradient_pairing`), both through
+:func:`_diff.pair_blocks`.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .mesh import MeshError, TriangleMesh, mesh_from_ply_bytes, ply_bytes, read_exact
-from .metric import _field_differential, _geometry, _normal_variation
-from ._diff import h2_vertex_gradient
+from .metric import _field_differential, _geometry
+from ._diff import face_blocks, h2_vertex_gradient, pair_blocks
 
 _BASIS_MAGIC = b"ELSABAS1"
 
@@ -89,6 +97,21 @@ class LatentBasis:
         """Fields flattened to a ``(P, 3N)`` matrix."""
         return self.fields.reshape(self.dim, -1)
 
+    @cached_property
+    def differentials(self):
+        """Per-face differentials of the fields, ``(M, 6, P)``, read-only.
+
+        Face ``f`` holds each field's 3x2 differential ``[h1 - h0, h2 - h0]``
+        flattened row-major; built on first use and kept, as the fields are
+        fixed.
+        """
+        P = self.dim
+        M = self.template.n_faces
+        df = _field_differential(self.template.faces, self.fields)
+        df = np.ascontiguousarray(df.reshape(P, M, 6).transpose(1, 2, 0))
+        df.setflags(write=False)
+        return df
+
     def check_code(self, alpha):
         alpha = np.asarray(alpha, dtype=np.float64)
         if alpha.shape != (self.dim,):
@@ -115,48 +138,25 @@ def gram(basis, alpha, coefficients, geometry=None):
 
     Entry ``(i, j)`` is the metric inner product of fields ``i`` and ``j``
     over the decoded mesh, or over ``geometry`` when the caller already has
-    the foot point's.  Each term is one matrix product ``A @ B.T`` of
-    ``(P, K)`` arrays of the fields' features at the foot point
-    (metric-tensor variation, its trace, normal variation, Laplacian image,
-    vertex values), each weighted by the square roots of the face areas or
-    vertex volumes; one term's features are built at a time.  The result is
-    symmetrized to make the bilinear form exactly symmetric.
+    the foot point's.  The face-local terms (a1, b1, c1, d1) pair the
+    basis's cached per-face differentials with one 6x6 block per face
+    (:func:`_diff.face_blocks`), ``sum_f df_i^T Q_f df_j``, through the same
+    :func:`_diff.pair_blocks` as the shooting Jacobian.  The a0 term is one
+    product of the fields weighted by the vertex volumes, and the a2 term
+    one of their Laplacian images, after one sparse product ``L H``.  The
+    result is symmetrized to make the bilinear form exactly symmetric.
     """
     geom = geometry if geometry is not None else _geometry(decode(basis, alpha))
-    a0, a1, b1, c1, d1, a2 = coefficients.as_array()
     H = basis.fields
     P, N = H.shape[:2]
-    fr = geom.frames
-    G = geom.ginv
-    root_area = np.sqrt(fr.area)[:, None, None]
-    root_vol = np.sqrt(geom.vol)[:, None]
-    out = np.zeros((P, P))
-
-    def product(A, B=None):
-        A = A.reshape(P, -1)
-        return A @ (A if B is None else B.reshape(P, -1)).T
-
-    if a0:
-        out += a0 * product(root_vol * H)
-    if a1 or b1 or c1 or d1:
-        dh = _field_differential(geom.mesh.faces, H)  # (P, M, 3, 2)
-        prod = fr.dq.swapaxes(1, 2) @ dh  # dq^T dh, (P, M, 2, 2)
-        # d1 is the a1 form on the antisymmetric part, weighted -d1: for
-        # antisymmetric X, Y, tr(G X G Y^T) = -tr(G X G Y).
-        for c, b, part in ((a1, b1, np.add), (-d1, 0.0, np.subtract)):
-            if c or b:
-                GX = root_area * (G @ part(prod, prod.swapaxes(2, 3)))
-                if c:
-                    out += c * product(GX, GX.swapaxes(2, 3))
-                if b:
-                    out += b * product(np.einsum("pmaa->pm", GX))
-                del GX
-        if c1:
-            out += c1 * product(root_area[:, 0] * _normal_variation(fr, dh)[0])
-    if a2:
-        lap = geom.lap @ H.transpose(1, 0, 2).reshape(N, 3 * P)
-        out += a2 * product((root_vol[:, None] * lap.reshape(N, P, 3)).transpose(1, 0, 2))
-
+    root_vol = np.sqrt(geom.vol)
+    weighted = (H * root_vol[:, None]).reshape(P, -1)
+    out = coefficients.a0 * (weighted @ weighted.T)
+    del weighted  # before the pair product, the call's largest temporary
+    out += pair_blocks(basis.differentials, face_blocks(geom, coefficients))
+    lap = (geom.lap @ H.transpose(1, 2, 0).reshape(N, 3 * P)).reshape(3 * N, P)
+    lap *= np.repeat(root_vol, 3)[:, None]
+    out += coefficients.a2 * (lap.T @ lap)
     return 0.5 * (out + out.T)
 
 

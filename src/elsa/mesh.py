@@ -442,11 +442,10 @@ def _read_obj(path):
 
 
 def _write_obj(mesh, path):
+    lines = [f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}\n" for a, b, c in (mesh.faces + 1).tolist()]
     with open(path, "w") as fh:
-        for x, y, z in mesh.vertices:
-            fh.write(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n")
-        for a, b, c in mesh.faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        fh.write("".join(lines))
 
 
 _PLY_TYPES = {

@@ -161,8 +161,11 @@ def _check_field(mesh, h):
 
 def _field_differential(faces, h):
     """Per-face 3x2 differential ``[h1 - h0, h2 - h0]`` of ``(..., N, 3)`` fields."""
-    h0, h1, h2 = h[..., faces[:, 0], :], h[..., faces[:, 1], :], h[..., faces[:, 2], :]
-    return np.stack([h1 - h0, h2 - h0], axis=-1)
+    h0 = h[..., faces[:, 0], :]
+    out = np.empty(h0.shape + (2,))
+    np.subtract(h[..., faces[:, 1], :], h0, out=out[..., 0])
+    np.subtract(h[..., faces[:, 2], :], h0, out=out[..., 1])
+    return out
 
 
 def _normal_variation(frames, dh):

@@ -14,8 +14,8 @@ solves the stationarity system of the two-step energy for the next knot by
 Gauss-Newton on the squared residual, differentiating the metric with the
 same exact foot-point gradient as the path energy.  The residual makes the
 only foot-point gradient call per iterate; the Jacobian pairs the basis
-fields with per-face 6x6 blocks of that gradient's face-local terms
-(:func:`_diff.h2_gradient_pairing`), with no call per field.
+fields' cached per-face differentials with 6x6 blocks of that gradient's
+face-local terms (:func:`_diff.h2_gradient_pairing`), with no call per field.
 """
 
 from __future__ import annotations
@@ -448,10 +448,11 @@ def _shooting_system(basis, geom, g_cur, rhs, coefficients):
     the foot-point gradient at ``u = b . fields`` on the current knot's geometry
     ``geom``, the only :func:`h2_vertex_gradient` call per iterate.  The Jacobian
     is ``2 (K - G_cur)`` with ``K[i, j] = <f_i, grad G(u, f_j)>``, paired from
-    per-face 6x6 blocks (:func:`h2_gradient_pairing`) without a per-field call.
+    per-face 6x6 blocks (:func:`h2_gradient_pairing`) and the basis's cached
+    differentials, without a per-field call.
     """
     fields = basis.fields
-    pairing = h2_gradient_pairing(geom, fields, coefficients)
+    pairing = h2_gradient_pairing(geom, fields, basis.differentials, coefficients)
 
     def residual(b):
         u = np.tensordot(b, fields, axes=1)
@@ -459,7 +460,7 @@ def _shooting_system(basis, geom, g_cur, rhs, coefficients):
         return rhs - 2.0 * (g_cur @ b) + basis.fields_matrix @ grad.ravel()
 
     def jacobian(b):
-        return 2.0 * (pairing(np.tensordot(b, fields, axes=1)) - g_cur)
+        return 2.0 * (pairing(b) - g_cur)
 
     return residual, jacobian
 

@@ -13,12 +13,13 @@ import pytest
 
 from elsa import MetricCoefficients, TriangleMesh, h2_inner
 from elsa._diff import (
+    face_blocks,
     h2_vertex_gradient,
     path_energy_with_grads,
     step_energy_discrete_with_grads,
 )
 from elsa.mesh import vertex_volumes
-from elsa.metric import _geometry
+from elsa.metric import _field_differential, _geometry
 
 import synthetic as syn
 
@@ -166,6 +167,29 @@ def test_step_energy_is_analytic_form_without_finite_differences(coeffs):
     assert value == pytest.approx(analytic, rel=1e-12)
     expected = h2_vertex_gradient(geom, u, u, coeffs)
     assert np.max(np.abs(grad_l + grad_r - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize(
+    "mesh", [syn.icosphere(2), syn.bumpy_mesh(60), syn.grid_mesh(6, 6, 0.2)],
+    ids=["icosphere2", "bumpy60", "grid_with_boundary"],
+)
+def test_face_blocks_symmetric_positive_semidefinite(mesh):
+    geom = _geometry(mesh)
+    blocks = face_blocks(geom, BODY)
+    assert blocks.shape == (mesh.n_faces, 6, 6)
+    scale = np.abs(blocks).max(axis=(1, 2))[:, None, None]
+    assert np.all(np.abs(blocks - blocks.transpose(0, 2, 1)) <= 4e-16 * scale)
+    eig = np.linalg.eigvalsh(blocks)
+    assert np.all(eig[:, 0] >= -1e-12 * eig[:, -1])
+    # the blocks reproduce the face-local terms of the analytic form
+    rng = np.random.default_rng(41)
+    h, k = rng.standard_normal((2,) + mesh.vertices.shape)
+    dh, dk = (_field_differential(mesh.faces, x).reshape(-1, 6) for x in (h, k))
+    local = MetricCoefficients(0.0, BODY.a1, BODY.b1, BODY.c1, BODY.d1, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = h2_inner(mesh, h, k, local, geometry=geom)
+    assert np.einsum("mi,mij,mj->", dh, blocks, dk) == pytest.approx(expected, rel=1e-12)
 
 
 def test_h2_vertex_gradient_same_field_equals_copy():

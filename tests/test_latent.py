@@ -160,6 +160,35 @@ def test_gram_single_term_matches_h2_inner_terms(term):
     assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("term", ["a0", "a1", "b1", "c1", "d1", "a2"])
+@pytest.mark.parametrize(
+    "mesh", [syn.grid_mesh(6, 6, 0.2), syn.bumpy_mesh(60)], ids=["grid_with_boundary", "bumpy60"]
+)
+def test_gram_single_term_matches_h2_inner_terms_off_the_sphere(mesh, term):
+    # the per-face blocks on boundary edges and on a non-convex surface
+    index = ["a0", "a1", "b1", "c1", "d1", "a2"].index(term)
+    basis = syn.random_basis(mesh, 4, 4, seed=11)
+    alpha = 0.2 * np.random.default_rng(12).standard_normal(basis.dim)
+    g = gram(basis, alpha, MetricCoefficients(*np.eye(6)[index]))
+    deformed = decode(basis, alpha)
+    ref = np.array(
+        [[h2_inner_terms(deformed, hi, hj)[index] for hj in basis.fields] for hi in basis.fields]
+    )
+    assert np.max(np.abs(ref)) > 0
+    assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_differentials_cached_read_only():
+    basis = _basis(28)
+    df = basis.differentials
+    assert df is basis.differentials
+    assert not df.flags.writeable
+    faces = basis.template.faces
+    expected = basis.fields[:, faces[:, 1:]] - basis.fields[:, faces[:, :1]]  # (P, M, 2, 3)
+    assert df.shape == (basis.template.n_faces, 6, basis.dim)
+    assert np.array_equal(df, expected.transpose(1, 3, 2, 0).reshape(df.shape))
+
+
 def test_gram_symmetric_positive_definite():
     for seed in range(5):
         basis = _basis(20 + seed)

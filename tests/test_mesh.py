@@ -98,6 +98,21 @@ def test_obj_ignores_normals_and_texcoords(tmp_path):
     assert mesh.n_faces == 1
 
 
+def test_obj_bytes_are_repr_lines(tmp_path):
+    # one "v x y z" line of repr floats per vertex, then one-based "f a b c"
+    # lines; repr round-trips every double, including -0.0 and subnormals
+    mesh = syn.bumpy_mesh(60, seed=3)
+    vertices = mesh.vertices.copy()
+    vertices[0] = [-0.0, 1.0 / 3.0, 5e-324]
+    vertices[1, 0] = 1e22
+    mesh = TriangleMesh(vertices, mesh.faces, validate=False)
+    path = tmp_path / "m.obj"
+    save_mesh(mesh, path)
+    expected = "".join(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n" for x, y, z in mesh.vertices)
+    expected += "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in mesh.faces)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
 @pytest.mark.parametrize("fmt,binary", [("obj", False), ("ply", False), ("ply", True)])
 def test_roundtrip_random_meshes(tmp_path, fmt, binary):
     for seed in range(3):

@@ -24,7 +24,7 @@ from elsa import (
     varifold_norm_sq,
     varifold_sqdist,
 )
-from elsa import _diff, solvers
+from elsa import _diff, latent, metric, solvers
 from elsa.latent import latent_path_energy_with_grad
 from elsa.mesh import MeshError
 from elsa.metric import _geometry
@@ -468,6 +468,34 @@ def test_shooting_jacobian_peaks_below_gram():
         return jacobian(b)
 
     assert peak(one_jacobian) <= peak(lambda: gram(basis, alpha, BODY, geometry=geom))
+
+
+def test_field_differentials_built_once_per_basis(monkeypatch):
+    # the Gram and the shooting Jacobian read the basis's cached differentials;
+    # no call differentiates the P fields again
+    basis = syn.random_basis(syn.icosphere(2), 3, 3, seed=33)
+    rng = np.random.default_rng(34)
+    stacks = []
+
+    def counting(original):
+        def counted(faces, h):
+            if np.ndim(h) == 3:
+                stacks.append(None)
+            return original(faces, h)
+
+        return counted
+
+    for module in (_diff, latent, metric):
+        monkeypatch.setattr(module, "_field_differential", counting(module._field_differential))
+    for _ in range(3):
+        alpha = 0.2 * rng.standard_normal(basis.dim)
+        geom = _geometry(decode(basis, alpha))
+        g_cur = gram(basis, alpha, BODY, geometry=geom)
+        _, jacobian = solvers._shooting_system(basis, geom, g_cur, np.zeros(basis.dim), BODY)
+        jacobian(0.3 * rng.standard_normal(basis.dim))
+        jacobian(0.3 * rng.standard_normal(basis.dim))
+    assert len(stacks) == 1
+    assert not basis.differentials.flags.writeable
 
 
 def test_ivp_knots_are_discrete_geodesic_knots():
