@@ -16,10 +16,12 @@ differentiated with respect to vertex positions:
 :func:`path_energy_with_grads` sums the steps of a mesh path, for
 :func:`metric.path_energy` and the mesh geodesic solver alike.
 
-Both functionals share the per-face trace form of the a1, b1 and d1 terms
-(:func:`trace_form`) and the per-vertex a0 and a2 terms
-(:func:`vertex_terms`).  Edges, unit normals and areas are read from
-:func:`mesh.face_frames`, the single source of per-face geometry.
+Both functionals share the a1 and b1 trace form on the symmetric part of
+``dq^T dh`` (:func:`trace_form`), the d1 term as one rotation scalar per face
+and the per-vertex a0 and a2 terms (:func:`vertex_terms`); c1 is read through
+the normal components of ``dh`` as in :func:`face_blocks`, except in the step
+energy's finite difference of unit normals.  Edges, unit normals and areas
+are read from :func:`mesh.face_frames`, the single source of per-face geometry.
 Gradients are assembled per face from a handful of adjoint channels (area,
 unit normal, edge matrix, vertex volume, cotangent weights) into one
 ``(M, 3, 2)`` edge-matrix adjoint, which :func:`edge_corners` and the one
@@ -44,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import _OPPOSITE, TriangleMesh, cross, face_cotangents, face_frames, scatter_corners
-from .metric import _field_differential, _geometry, _normal_variation
+from .metric import _field_differential, _geometry
 
 
 def _rowdot(a, b):
@@ -109,6 +111,16 @@ def _vertex_thirds(faces, g_vol):
     return (g_vol[faces[:, 0]] + g_vol[faces[:, 1]] + g_vol[faces[:, 2]]) / 3.0
 
 
+def _matvec(A, x):
+    """Products ``A x`` of ``(..., k, 2)`` matrices and ``(..., 2)`` vectors."""
+    return A[..., 0] * x[..., 0, None] + A[..., 1] * x[..., 1, None]
+
+
+def _columns_dot(A, y):
+    """Products ``A^T y`` of ``(..., 3, 2)`` matrices and ``(..., 3)`` vectors."""
+    return np.einsum("...kb,...k->...b", A, y)
+
+
 def _dot3(a, b):
     """Dot products over the coordinate axis of ``(K, 3, ...)`` arrays."""
     return np.einsum("ic...,ic...->i...", a, b)
@@ -160,10 +172,9 @@ def _laplacian_lambda(faces, vol, u, lap_u, v, lap_v):
 def trace_form(G, X, Y, c, b):
     """Per-face ``c tr(G X G Y) + b tr(G X) tr(G Y)`` and its adjoint channels.
 
-    ``X`` and ``Y`` are ``(M, 2, 2)`` stacks, both symmetric or both
-    antisymmetric, and ``G`` the inverse metric tensors; ``Y`` may carry
-    leading axes, ``(..., M, 2, 2)``.  Returns ``(value, Ax, Ay, S)``:
-    ``value = tr(X Ax) = tr(Y Ay)`` per face, where
+    ``X`` and ``Y`` are symmetric ``(M, 2, 2)`` stacks and ``G`` the inverse
+    metric tensors; ``Y`` may carry leading axes, ``(..., M, 2, 2)``.  Returns
+    ``(value, Ax, Ay, S)``: ``value = tr(X Ax) = tr(Y Ay)`` per face, where
     ``Ax = c G Y G + b tr(G Y) G`` and ``Ay`` likewise from ``X``, and
     ``S = G (X Ax + Y Ay)`` is the inverse-metric channel, ``d(G) = -G d(g) G``.
     """
@@ -252,69 +263,56 @@ def face_terms(geom, du, dv, coefficients):
 
     ``du`` and ``dv`` are the per-face differentials of ``u`` and ``v``;
     ``dv`` may carry leading axes, ``(..., M, 3, 2)``, over which the result
-    broadcasts, and ``dv is du`` reuses the first field's trace-form parts
-    and normal variation.  Returns ``(g_dq, g_area)``, the adjoints of the
-    edge matrices and of the face areas, shaped like ``dv`` and
-    ``dv[..., 0, 0]``; both are linear in ``dv``.
+    broadcasts, and ``dv is du`` reuses the first field's coordinates.  Each
+    differential ``dh`` is read as in :func:`face_blocks`: a1 and b1 through
+    the symmetric part of ``dq^T dh`` (:func:`trace_form`), d1 through the
+    rotation ``x = e1.dh_1 - e2.dh_0`` as ``d1 x_u x_v / s``, and c1 through
+    the normal components ``z = dh^T n`` as ``c1 area z_u^T G z_v``.  Returns
+    ``(g_dq, g_area)``, the adjoints of the edge matrices and of the face
+    areas, shaped like ``dv`` and ``dv[..., 0, 0]``; both are linear in ``dv``.
     """
     fr = geom.frames
     dq = fr.dq
     n = fr.n
     area = fr.area
     s = 2.0 * area
+    G = geom.ginv
     _, a1, b1, c1, d1, _ = coefficients.as_array()
     same = dv is du
 
-    g_area = np.zeros(dv.shape[:-2])
-    g_dq = np.zeros(dv.shape)
-
     pu = dq.swapaxes(1, 2) @ du
     pv = pu if same else dq.swapaxes(1, 2) @ dv
+    X = pu + pu.swapaxes(-1, -2)
+    Y = X if same else pv + pv.swapaxes(-1, -2)
+    g_area, Ax, Ay, S = trace_form(G, X, Y, a1, b1)
+    del X, Y
+    g_dq = du @ Ax  # s (du Ax + dv Ay - dq S), one (..., M, 3, 2) temporary at a time
+    g_dq += dv @ Ay
+    g_dq -= dq @ S
+    g_dq *= s[:, None, None]
+    del Ax, Ay, S
 
-    def trace_pass(c, b, part):
-        """Adds the area and edge adjoints of ``c tr(G X G Y) + b tr(G X) tr(G Y)`` on ``part``."""
-        X = part(pu, pu.swapaxes(-1, -2))
-        Y = X if same else part(pv, pv.swapaxes(-1, -2))
-        value, Ax, Ay, S = trace_form(geom.ginv, X, Y, c, b)
-        del X, Y
-        g_area[...] += value
-        del value
-        g = du @ Ax  # s (du Ax + dv Ay - dq S), one (..., M, 3, 2) temporary at a time
-        g += dv @ Ay
-        g -= dq @ S
-        g *= s[:, None, None]
-        g_dq[...] += g
+    # d1: x varies with the edges as [dh_1, -dh_0]
+    xu = pu[:, 0, 1] - pu[:, 1, 0]
+    xv = xu if same else pv[..., 0, 1] - pv[..., 1, 0]
+    del pu, pv
+    g_area -= (2.0 * d1 / s**2) * xu * xv
+    rot = (d1 / s)[:, None]
+    g_dq[..., 0] += rot * (xv[..., None] * du[..., 1] + xu[:, None] * dv[..., 1])
+    g_dq[..., 1] -= rot * (xv[..., None] * du[..., 0] + xu[:, None] * dv[..., 0])
 
-    # For antisymmetric X, Y: tr(G X G Y^T) = -tr(G X G Y), so the rotation
-    # term d1 is the shear form a1 on the antisymmetric parts, weighted -d1.
-    for c, b, part in ((a1, b1, np.add), (-d1, 0.0, np.subtract)):
-        if c or b:
-            trace_pass(c, b, part)
-    del pv
-
-    if c1:
-        dnu, wu = _normal_variation(fr, du)
-        dnv, wv = (dnu, wu) if same else _normal_variation(fr, dv)
-        g_area += c1 * _rowdot(dnu, dnv)
-
-        def normal_pass(dn_self, dn_other, w_self, dh):
-            """Edge adjoints of ``c1 <dn_self, dn_other> area`` through ``dn_self``."""
-            t = (c1 * area)[:, None] * dn_other  # adjoint of dn_self; t is normal-free
-            a_c = -(_rowdot(n, w_self) / s**2)[..., None] * t
-            a_c -= (_rowdot(t, dn_self) / s)[..., None] * n
-            t /= s[:, None]
-            g = cross_edge_grads(dh, t)
-            del t
-            g += cross_edge_grads(dq, a_c)
-            return g
-
-        g = normal_pass(dnu, dnv, wu, du)
-        g_dq += g
-        if not same:
-            del g
-            g = normal_pass(dnv, dnu, wv, dv)
-        g_dq += g
-
+    # c1: along an edge variation E, G varies as -G (E^T dq + dq^T E) G and n
+    # as -dq G E^T n; with a = G z_u and b = G z_v the edge adjoint is
+    # -c1 area (dq b a^T + dq a b^T + n m^T) for m = G dq^T (du b + dv a)
+    zu = _columns_dot(du, n)
+    a = _matvec(G, zu)
+    b = a if same else _matvec(G, _columns_dot(dv, n))
+    g_area += c1 * _rowdot(zu, b)
+    qa, qb = _matvec(dq, a), _matvec(dq, b)
+    m = _matvec(G, _columns_dot(dq, _matvec(du, b) + _matvec(dv, a)))
+    c = (c1 * area)[:, None]
+    for k in range(2):
+        g_dq[..., k] -= c * (qb * a[..., k, None] + qa * b[..., k, None] + n * m[..., k, None])
     return g_dq, g_area
 
 
@@ -327,8 +325,8 @@ def h2_vertex_gradient(geom, u, v, coefficients):
         Precomputed geometry of the foot-point mesh.
     u, v : ndarray, (N, 3)
         Fixed vertex fields.  With ``v is u`` the second field's
-        differential, trace-form part and normal variation are those of the
-        first; the result equals that for a copy of ``u``.
+        differential, symmetric part, rotation and normal components are
+        those of the first; the result equals that for a copy of ``u``.
     """
     F = geom.mesh.faces
     fr = geom.frames
@@ -422,36 +420,38 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
     vol = geom_left.vol
     a0, a1, b1, c1, d1, a2 = coefficients.as_array()
 
-    M = F.shape[0]
+    s = 2.0 * area
     u = right_vertices - mesh.vertices
     du = _field_differential(F, u)
     dr = _field_differential(F, right_vertices)
-    g_area = np.zeros(M)
-    g_dq = np.zeros((M, 3, 2))
-    g_dr = np.zeros((M, 3, 2))
+
+    # dr^T dr - dq^T dq = (dq^T du + du^T dq) + du^T du changes by dr^T e + e^T dr
+    # along a variation e of dr, and by -(dq^T e + e^T dq) along one of dq
+    pu = dq.swapaxes(1, 2) @ du
+    X = pu + pu.swapaxes(1, 2) + du.swapaxes(1, 2) @ du
+    g_area, Ax, _, S = trace_form(geom_left.ginv, X, X, a1, b1)
+    value = float(g_area @ area)
+    g_dq = -s[:, None, None] * (dq @ (2.0 * Ax + S))
+    g_dr = (2.0 * s)[:, None, None] * (dr @ Ax)
+
+    # the rotation x = e1.dr_1 - e2.dr_0 = e1.du_1 - e2.du_0 gives the term
+    # d1 x^2 / s; x varies as [dr_1, -dr_0] with dq and as [-e2, e1] with dr
+    x = pu[:, 0, 1] - pu[:, 1, 0]
+    rot = 2.0 * d1 * x / s  # adjoint of x
+    value += 0.5 * float(rot @ x)
+    g_area -= rot * x / s
+    rot = rot[:, None]
+    g_dq[:, :, 0] += rot * dr[:, :, 1]
+    g_dq[:, :, 1] -= rot * dr[:, :, 0]
+    g_dr[:, :, 0] -= rot * dq[:, :, 1]
+    g_dr[:, :, 1] += rot * dq[:, :, 0]
 
     g_vol, lap_u, lam = vertex_terms(geom_left, u, u, a0, a2)
-    value = float(g_vol @ vol)
+    value += float(g_vol @ vol)
     grad_r = (2.0 * a0) * vol[:, None] * u
     if a2:
         grad_r += (2.0 * a2) * (geom_left.lap @ (vol[:, None] * lap_u))
         g_dq += cot_channel(fr, lam)
-
-    # dr^T dr - dq^T dq = (dq^T du + du^T dq) + du^T du and
-    # dq^T dr - dr^T dq = dq^T du - du^T dq; along a variation e of dr the
-    # parts change by w^T e +- e^T w
-    pu = dq.swapaxes(1, 2) @ du
-    for c, b, X, w in (
-        (a1, b1, pu + pu.swapaxes(1, 2) + du.swapaxes(1, 2) @ du, dr),
-        (-d1, 0.0, pu - pu.swapaxes(1, 2), -dq),
-    ):
-        if not (c or b):
-            continue
-        t, Ax, _, S = trace_form(geom_left.ginv, X, X, c, b)
-        value += float(t @ area)
-        g_area += t
-        g_dq += (2.0 * area)[:, None, None] * (2.0 * ((du - w) @ Ax) - dq @ S)
-        g_dr += (4.0 * area)[:, None, None] * (w @ Ax)
 
     if c1:
         fr_r = face_frames(mesh.with_vertices(right_vertices, validate=False))
@@ -459,7 +459,7 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
         value += c1 * float(_rowdot(dn, dn) @ area)
         gn = (2.0 * c1 * area)[:, None] * dn
         g_dr += normal_edge_grads(dr, fr_r.n, 2.0 * fr_r.area, gn)
-        g_dq += normal_edge_grads(dq, n, 2.0 * area, -gn)
+        g_dq += normal_edge_grads(dq, n, s, -gn)
         g_area += c1 * _rowdot(dn, dn)
 
     g_area += _vertex_thirds(F, g_vol)

@@ -206,11 +206,7 @@ def cmd_extrapolate(args):
         log["meshes"] = [str(m) for m in args.meshes]
     else:
         raise ValueError("extrapolate needs either --code and --velocity or two meshes")
-    try:
-        path = geodesic_ivp(basis, alpha0, beta, cfg.ivp_steps, cfg.coefficients)
-    except SolverFailure as exc:
-        print(f"extrapolation failed: {exc}", file=sys.stderr)
-        return 1
+    path = geodesic_ivp(basis, alpha0, beta, cfg.ivp_steps, cfg.coefficients)
     for k, code in enumerate(path):
         save_mesh(decode(basis, code), out / f"extrap_{k:03d}.obj")
     np.savetxt(out / "path_codes.txt", path, fmt="%.17g")

@@ -22,6 +22,8 @@ _GMM_MAGIC = b"ELSAGMM1"
 
 #: relative diagonal loading added to every covariance
 _COV_LOADING = 1e-8
+#: EM stops once an iteration raises the log-likelihood by less than this, relative
+_EM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def _kmeanspp_means(data, k, rng):
     return np.stack(means)
 
 
-def fit_gmm(samples, n_components, seed=0, max_em_iterations=200, tol=1e-10):
+def fit_gmm(samples, n_components, seed=0, max_em_iterations=200):
     """Fit a mixture by EM from a k-means++ style seeded start.
 
     Deterministic for a fixed seed.  The log-likelihood trajectory is stored
@@ -133,7 +135,7 @@ def fit_gmm(samples, n_components, seed=0, max_em_iterations=200, tol=1e-10):
         logp = _log_prob_matrix(data, weights, means, covs)
         per_point = logsumexp(logp, axis=1)
         history.append(float(per_point.sum()))
-        if len(history) > 1 and history[-1] - history[-2] < tol * max(1.0, abs(history[-2])):
+        if len(history) > 1 and history[-1] - history[-2] < _EM_TOL * max(1.0, abs(history[-2])):
             break
         resp = np.exp(logp - per_point[:, None])
         mass = resp.sum(axis=0)

@@ -305,6 +305,14 @@ def cotan_laplacian(mesh, frames=None):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def _check_field(mesh, h):
+    """``h`` as a float ``(N, 3)`` vertex field of ``mesh``; raises ``MeshError`` otherwise."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.shape != (mesh.n_vertices, 3):
+        raise MeshError(f"field shape {h.shape} does not match mesh ({mesh.n_vertices}, 3)")
+    return h
+
+
 def cotan_laplacian_apply(mesh, h, laplacian=None):
     """Apply the cotangent Laplacian to a vertex field.
 
@@ -315,9 +323,7 @@ def cotan_laplacian_apply(mesh, h, laplacian=None):
     laplacian : sparse matrix, optional
         A precomputed matrix from :func:`cotan_laplacian`.
     """
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (mesh.n_vertices, 3):
-        raise MeshError(f"field shape {h.shape} does not match mesh ({mesh.n_vertices}, 3)")
+    h = _check_field(mesh, h)
     L = cotan_laplacian(mesh) if laplacian is None else laplacian
     return L @ h
 

@@ -35,6 +35,7 @@ from .mesh import (
     DegenerateFaceError,
     MeshError,
     TriangleMesh,
+    _check_field,
     cotan_laplacian,
     cross,
     face_frames,
@@ -152,13 +153,6 @@ def _geometry(mesh):
     )
 
 
-def _check_field(mesh, h):
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (mesh.n_vertices, 3):
-        raise MeshError(f"field shape {h.shape} does not match mesh ({mesh.n_vertices}, 3)")
-    return h
-
-
 def _field_differential(faces, h):
     """Per-face 3x2 differential ``[h1 - h0, h2 - h0]`` of ``(..., N, 3)`` fields."""
     h0 = h[..., faces[:, 0], :]
@@ -169,18 +163,18 @@ def _field_differential(faces, h):
 
 
 def _normal_variation(frames, dh):
-    """Analytic variation of the unit normal along fields with differentials dh.
+    """Analytic variation of the unit normal along fields with differentials ``dh``.
 
-    Returns ``(dn, w)``: ``w = dh_1 x e2 + e1 x dh_2`` is the variation of
-    the edge cross product ``e1 x e2`` and ``dn`` its tangential part over
-    ``|e1 x e2|``.  ``dh`` may carry leading axes, ``(..., M, 3, 2)``.
+    The tangential part of the variation ``w = dh_1 x e2 + e1 x dh_2`` of
+    the edge cross product ``e1 x e2``, over ``|e1 x e2|``.  It serves
+    :func:`metric_terms`, the tests' reference for the normal term;
+    :mod:`_diff` reads the same term through the normal components of ``dh``.
     """
     e1 = frames.dq[:, :, 0]
     e2 = frames.dq[:, :, 1]
-    w = cross(dh[..., 0], e2) + cross(e1, dh[..., 1])
+    w = cross(dh[:, :, 0], e2) + cross(e1, dh[:, :, 1])
     n = frames.n
-    s = 2.0 * frames.area
-    return (w - n * np.einsum("ij,...ij->...i", n, w)[..., None]) / s[:, None], w
+    return (w - n * np.einsum("ij,ij->i", n, w)[:, None]) / (2.0 * frames.area)[:, None]
 
 
 def metric_terms(mesh, h, geometry=None):
@@ -190,7 +184,7 @@ def metric_terms(mesh, h, geometry=None):
     dh = _field_differential(mesh.faces, h)
     dg = np.einsum("mia,mib->mab", geom.frames.dq, dh)
     dg = dg + dg.transpose(0, 2, 1)
-    dn, _ = _normal_variation(geom.frames, dh)
+    dn = _normal_variation(geom.frames, dh)
     return MetricTerms(dg=dg, dn=dn, dh=dh, lap=geom.lap @ h)
 
 

@@ -397,8 +397,7 @@ def geodesic_bvp(basis, alpha0, alpha1, time_steps, coefficients, config=None, i
     return path, report
 
 
-def relaxed_geodesic(basis, q0, q1, time_steps, coefficients, schedule=None, config=None,
-                     init_path=None):
+def relaxed_geodesic(basis, q0, q1, time_steps, coefficients, schedule=None, config=None):
     """Geodesic between the closest latent representatives of two meshes.
 
     Minimizes ``path_energy + lambda * Gamma(decode(alpha(0)), q0)
@@ -424,8 +423,8 @@ def relaxed_geodesic(basis, q0, q1, time_steps, coefficients, schedule=None, con
 
         return _guard(fun)
 
-    x = (np.zeros((T + 1, P)) if init_path is None else np.asarray(init_path, float)).ravel()
-    x, report, (t0, t1) = _minimize_stages(objective, x, schedule, config, (q0, q1))
+    x0 = np.zeros((T + 1) * P)
+    x, report, (t0, t1) = _minimize_stages(objective, x0, schedule, config, (q0, q1))
     path = x.reshape(T + 1, P)
     return path, replace(report, details={
         "gamma0": varifold_sqdist_to(decode(basis, path[0]), t0),

@@ -16,6 +16,7 @@ from elsa import (
 from elsa.cli import main
 from elsa.config import RunConfig, load_config, save_config
 from elsa.generation import fit_gmm, save_gmm
+from elsa.solvers import SolverFailure
 
 import synthetic as syn
 
@@ -276,6 +277,23 @@ def test_extrapolate_translation_velocity(tmp_path):
 def test_extrapolate_needs_inputs(workspace):
     ws = workspace
     assert _run("extrapolate", "--config", ws["cfg_path"]) == 2
+
+
+def test_extrapolate_failed_shot_exit_1(workspace, monkeypatch, capsys):
+    ws = workspace
+
+    def fail(*args, **kwargs):
+        raise SolverFailure("shooting residual above tolerance")
+
+    monkeypatch.setattr("elsa.cli.geodesic_ivp", fail)
+    code_file = ws["tmp"] / "code.txt"
+    np.savetxt(code_file, np.zeros((1, ws["basis"].dim)), fmt="%.17g")
+    capsys.readouterr()
+    code = _run("extrapolate", "--config", ws["cfg_path"], "--code", code_file,
+                "--velocity", code_file)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
 
 
 def test_extrapolate_collapsed_knot_exit_1(tmp_path, capsys):

@@ -193,15 +193,19 @@ def test_face_blocks_symmetric_positive_semidefinite(mesh):
 
 
 def test_h2_vertex_gradient_same_field_equals_copy():
-    # v is u reuses the first field's differential, trace-form part and
-    # normal variation; the result must not depend on that shortcut
+    # v is u reuses the first field's differential, symmetric part, rotation
+    # and normal components; the result must not depend on that shortcut
+    meshes = [syn.bumpy_mesh(35, seed=4, bump=0.05), syn.icosphere(3), syn.bumpy_mesh(30),
+              syn.grid_mesh(6, 6, 0.2)]
     rng = np.random.default_rng(400)
-    mesh = syn.bumpy_mesh(35, seed=4, bump=0.05)
-    u = 0.3 * rng.standard_normal(mesh.vertices.shape)
-    geom = _geometry(mesh)
-    assert np.array_equal(
-        h2_vertex_gradient(geom, u, u, BODY), h2_vertex_gradient(geom, u, u.copy(), BODY)
-    )
+    for mesh in meshes:
+        u = 0.3 * rng.standard_normal(mesh.vertices.shape)
+        geom = _geometry(mesh)
+        for coeffs in (BODY, MetricCoefficients.faces(), ONE_HOTS[3], ONE_HOTS[4]):
+            assert np.array_equal(
+                h2_vertex_gradient(geom, u, u, coeffs),
+                h2_vertex_gradient(geom, u, u.copy(), coeffs),
+            ), (mesh.n_vertices, coeffs)
 
 
 def test_step_energy_zero_at_rest():
