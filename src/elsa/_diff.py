@@ -5,7 +5,8 @@ differentiated with respect to vertex positions:
 
 * the analytic metric inner product ``G_q(u, v)`` at a mesh ``q`` with the
   vertex fields ``u, v`` held fixed (the foot-point derivative used by the
-  latent-space path energy and by geodesic shooting), and
+  latent-space path energy, in one call on the disjoint union of all its
+  left knots, and by geodesic shooting), and
 * the discrete one-step path energy between a left mesh ``q`` and right
   vertex positions ``r``, with all weights on ``q``.  It is the analytic
   form at ``u = r - q`` with ``du^T du`` added to the symmetric part
@@ -30,13 +31,16 @@ scatter, :func:`mesh.scatter_corners`, sum onto the vertices.
 Stacks of fields meet the metric through per-face 6x6 blocks paired with
 their cached per-face differentials (:func:`pair_blocks`,
 ``sum_f df_i^T B_f df_j``).  The face-local metric terms themselves are one
-closed-form block per face (:func:`face_blocks`), which the latent Gram
-pairs.  The face-local terms of the foot-point gradient (a1, b1, c1, d1 and
-their area channel, :func:`face_terms`) are linear in the second field's
-per-face differential, so their edge adjoint is one 6x6 block per face
-applied to it: :func:`h2_gradient_pairing` builds those blocks from the six
-unit differentials, and the Jacobian of a shooting step costs a fixed number
-of mesh passes, whatever the number of fields.  Each channel is exercised
+closed-form block per face (:func:`face_blocks`).  The latent path energy
+applies the blocks to each increment's differential, ``df^T (Q_f (df d))``,
+for all knots in one pass and without a Gram matrix; the latent Gram pairs
+them, and serves only geodesic shooting and the tests.  The face-local
+terms of the foot-point gradient (a1, b1, c1, d1 and their area channel,
+:func:`face_terms`) are linear in the second field's per-face differential,
+so their edge adjoint is one 6x6 block per face applied to it:
+:func:`h2_gradient_pairing` builds those blocks from the six unit
+differentials, and the Jacobian of a shooting step costs a fixed number of
+mesh passes, whatever the number of fields.  Each channel is exercised
 against central finite differences by the test suite; the algebra is
 unforgiving, the tests are not optional.
 """

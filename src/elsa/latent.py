@@ -8,18 +8,25 @@ the weighted fields to the template.  Latent paths are ``(T+1, P)`` arrays
 with implicit uniform time step ``1/T``.
 
 The Euclidean structure of the code space is irrelevant; distances come from
-pulling the mesh metric back through the decoder: ``gram`` assembles the
-``P x P`` matrix of pairwise metric products of the basis fields at the
-decoded foot point, and the path energy contracts code increments against
-it (forward convention, matching the discrete mesh path energy), in one
-loop, :func:`latent_path_energy_with_grad`, whose value is the path energy.
+pulling the mesh metric back through the decoder.  The path energy
+``T sum_t d_t^T G(alpha_t) d_t`` contracts each code increment against the
+metric at its left knot (forward convention, matching the discrete mesh path
+energy).  It never forms the ``P x P`` Gram matrix: all left knots are
+decoded at once into one disjoint union of template copies, and the metric
+is applied to each increment's field ``u = d . fields`` on that union mesh,
+in one pass for every knot (:func:`latent_path_energy` and
+:func:`latent_path_energy_with_grad`, which adds the foot-point term from one
+:func:`_diff.h2_vertex_gradient` call on the union).  :func:`gram` assembles
+the matrix of pairwise metric products of the basis fields at one code; it
+serves geodesic shooting (:func:`solvers.geodesic_ivp`) and the tests.
 
 The fields' per-face differentials do not depend on the foot point, so the
 basis caches them once (:attr:`LatentBasis.differentials`).  The Gram pairs
 them with one 6x6 metric block per face (:func:`_diff.face_blocks`), and
 the shooting Jacobian pairs them with the 6x6 blocks of the metric's
 foot-point derivative (:func:`_diff.h2_gradient_pairing`), both through
-:func:`_diff.pair_blocks`.
+:func:`_diff.pair_blocks`; the path energy applies the same blocks to the
+increments' differentials.
 """
 
 from __future__ import annotations
@@ -30,7 +37,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh import MeshError, TriangleMesh, mesh_from_ply_bytes, ply_bytes, read_exact
+from .mesh import (
+    DegenerateFaceError,
+    MeshError,
+    TriangleMesh,
+    mesh_from_ply_bytes,
+    ply_bytes,
+    read_exact,
+)
 from .metric import _field_differential, _geometry
 from ._diff import face_blocks, h2_vertex_gradient, pair_blocks
 
@@ -145,6 +159,10 @@ def gram(basis, alpha, coefficients, geometry=None):
     product of the fields weighted by the vertex volumes, and the a2 term
     one of their Laplacian images, after one sparse product ``L H``.  The
     result is symmetrized to make the bilinear form exactly symmetric.
+
+    The path energy applies the metric to its increments without this matrix;
+    the Gram serves geodesic shooting, whose Jacobian needs it whole, and the
+    tests, as the reference for the path energy's one pass.
     """
     geom = geometry if geometry is not None else _geometry(decode(basis, alpha))
     H = basis.fields
@@ -166,47 +184,94 @@ def _check_path(basis, path):
         raise ValueError(f"path must be (T+1, {basis.dim}), got {path.shape}")
     if path.shape[0] < 2:
         raise ValueError("path needs at least two knots")
+    if not np.all(np.isfinite(path)):
+        raise ValueError("path has non-finite entries")
     return path
+
+
+def _union_geometry(basis, knots):
+    """Geometry of the disjoint union of the meshes decoded at ``knots``, ``(K, P)``.
+
+    Copy ``k`` of the template holds vertices ``[k N, (k + 1) N)`` and faces
+    ``[k M, (k + 1) M)``; every per-face and per-vertex quantity is that of
+    its own copy, and the cotangent Laplacian is block diagonal.  A
+    degenerate face raises ``DegenerateFaceError`` with its template face
+    index, naming the knot.
+    """
+    template = basis.template
+    N, M = template.n_vertices, template.n_faces
+    vertices = template.vertices + np.tensordot(knots, basis.fields, axes=1)
+    faces = template.faces + N * np.arange(len(knots))[:, None, None]
+    try:
+        return _geometry(TriangleMesh(vertices.reshape(-1, 3), faces.reshape(-1, 3)))
+    except DegenerateFaceError as exc:
+        if exc.face_index is None:
+            raise
+        knot, face = divmod(exc.face_index, M)
+        raise DegenerateFaceError(f"{exc.reason} at knot {knot}", face) from exc
+
+
+def _knot_pass(basis, path, coefficients):
+    """The metric applied to every increment of a path, in one pass over its knots.
+
+    Returns ``(energy, geom, u, gd)``: the path energy, the geometry of the
+    union of the left knots (:func:`_union_geometry`), the increments'
+    fields ``u = d_t . fields`` stacked as ``(T N, 3)`` on it, and the
+    ``(T, P)`` products ``G(alpha_t) d_t``.  Each product reads ``u`` as
+    :func:`gram` reads the fields: the face-local terms as
+    ``df^T (Q_f (df d))`` with the 6x6 blocks of :func:`_diff.face_blocks`,
+    a0 as ``H^T (vol u)`` and a2 as ``H^T L^T (vol L u)``.
+    """
+    path = _check_path(basis, path)
+    d = np.diff(path, axis=0)
+    T = len(d)
+    P, N = basis.fields.shape[:2]
+    M = basis.template.n_faces
+    geom = _union_geometry(basis, path[:-1])
+    u = np.tensordot(d, basis.fields, axes=1).reshape(T * N, 3)
+    df = basis.differentials.reshape(6 * M, P)
+    du = (df @ d.T).T.reshape(T * M, 6)  # union face order: knot-major
+    qdu = np.einsum("fij,fj->fi", face_blocks(geom, coefficients), du)
+    gd = qdu.reshape(T, 6 * M) @ df
+    del du, qdu
+    vol = geom.vol[:, None]
+    w = coefficients.a0 * (vol * u)
+    w += coefficients.a2 * (geom.lap.T @ (vol * (geom.lap @ u)))
+    gd += w.reshape(T, 3 * N) @ basis.fields_matrix.T
+    return T * float(np.einsum("tp,tp->", d, gd)), geom, u, gd
 
 
 def latent_path_energy(basis, path, coefficients):
     """Discrete path energy ``T * sum_t d_t^T Gram(alpha_t) d_t``.
 
-    Increments are forward differences; the Gram matrix is evaluated at the
-    left knot of each step.  The first knot is held, which skips its
-    foot-point derivative.
+    Increments are forward differences; the metric is evaluated at the left
+    knot of each step, for all steps in one pass (:func:`_knot_pass`),
+    without the Gram matrix or a foot-point derivative.  The value equals
+    that of :func:`latent_path_energy_with_grad` bit for bit.
     """
-    return latent_path_energy_with_grad(basis, path, coefficients, fixed_start=True)[0]
+    return _knot_pass(basis, path, coefficients)[0]
 
 
 def latent_path_energy_with_grad(basis, path, coefficients, fixed_start=False):
     """Path energy and its gradient with respect to every knot.
 
-    The gradient at a knot combines the quadratic terms of its two adjacent
-    steps with the foot-point derivative of the Gram matrix (the metric
+    The gradient at a knot combines the quadratic terms ``2 G d`` of its two
+    adjacent steps with the foot-point derivative of the metric (the metric
     differentiated in the decoded vertices, chained through the decoder
-    fields).  ``fixed_start`` holds the first knot: its row is left zero.
+    fields).  That derivative comes from one :func:`_diff.h2_vertex_gradient`
+    call on the union of the left knots, whose copies do not interact.
+    ``fixed_start`` holds the first knot: its row is left zero.
     """
-    path = _check_path(basis, path)
-    T = path.shape[0] - 1
-    grad = np.zeros_like(path)
-    fields_mat = basis.fields_matrix
-    total = 0.0
-    for t in range(T):
-        geom = _geometry(decode(basis, path[t]))
-        gm = gram(basis, path[t], coefficients, geometry=geom)
-        d = path[t + 1] - path[t]
-        total += float(d @ gm @ d)
-        gd = 2.0 * (gm @ d)
-        grad[t] -= gd
-        grad[t + 1] += gd
-        if t or not fixed_start:
-            u = np.tensordot(d, basis.fields, axes=1)
-            foot = h2_vertex_gradient(geom, u, u, coefficients)
-            grad[t] += fields_mat @ foot.ravel()
+    energy, geom, u, gd = _knot_pass(basis, path, coefficients)
+    T = len(gd)
+    foot = h2_vertex_gradient(geom, u, u, coefficients)
+    grad = np.zeros((T + 1, gd.shape[1]))
+    grad[:-1] = foot.reshape(T, -1) @ basis.fields_matrix.T
+    grad[:-1] -= 2.0 * gd
+    grad[1:] += 2.0 * gd
     if fixed_start:
         grad[0] = 0.0
-    return T * total, T * grad
+    return energy, T * grad
 
 
 def substitute_shape_block(codes, target, n_shape):

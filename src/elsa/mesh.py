@@ -53,11 +53,14 @@ class DegenerateFaceError(MeshError):
 
     Attributes
     ----------
+    reason : str
+        The message without the face index.
     face_index : int | None
         Index of the offending face, when known.
     """
 
     def __init__(self, message, face_index=None):
+        self.reason = message
         if face_index is not None:
             message = f"{message} (face {face_index})"
         super().__init__(message)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elsa import (
+    DegenerateFaceError,
     LatentBasis,
     MetricCoefficients,
     decode,
@@ -16,8 +17,11 @@ from elsa import (
     save_basis,
     substitute_shape_block,
 )
+import elsa.latent
+from elsa._diff import h2_vertex_gradient
 from elsa.latent import latent_path_energy_with_grad
 from elsa.mesh import MeshError
+from elsa.metric import _geometry
 
 import synthetic as syn
 
@@ -279,6 +283,92 @@ def test_path_energy_gradient_with_fixed_start():
     assert energy_fixed == energy
     assert np.array_equal(grad_fixed[1:], grad[1:])
     assert not grad_fixed[0].any()
+
+
+def _per_knot_reference(basis, path, coefficients, fixed_start):
+    """The path energy and its gradient from one Gram and one foot-point pass per knot."""
+    T = len(path) - 1
+    grad = np.zeros_like(path)
+    total = 0.0
+    for t in range(T):
+        geom = _geometry(decode(basis, path[t]))
+        gm = gram(basis, path[t], coefficients, geometry=geom)
+        d = path[t + 1] - path[t]
+        total += float(d @ gm @ d)
+        grad[t] -= 2.0 * (gm @ d)
+        grad[t + 1] += 2.0 * (gm @ d)
+        if t or not fixed_start:
+            u = np.tensordot(d, basis.fields, axes=1)
+            grad[t] += basis.fields_matrix @ h2_vertex_gradient(geom, u, u, coefficients).ravel()
+    return T * total, T * grad
+
+
+@pytest.mark.parametrize("term", ["a0", "a1", "b1", "c1", "d1", "a2"])
+@pytest.mark.parametrize(
+    "mesh",
+    [syn.icosphere(2), syn.grid_mesh(6, 6, 0.2), syn.bumpy_mesh(60)],
+    ids=["icosphere2", "grid_with_boundary", "bumpy60"],
+)
+def test_path_energy_one_pass_matches_per_knot_gram(mesh, term):
+    # the union of the left knots applies the metric to each increment as the
+    # Gram at its knot does; sums are reordered, so agreement is to rounding:
+    # 1e-12 relative for the energy and of the largest gradient entry
+    index = ["a0", "a1", "b1", "c1", "d1", "a2"].index(term)
+    coefficients = MetricCoefficients(*np.eye(6)[index])
+    basis = syn.random_basis(mesh, 4, 4, seed=11)
+    for T in (1, 3):
+        path = 0.2 * np.random.default_rng(12 + T).standard_normal((T + 1, basis.dim))
+        for fixed_start in (False, True):
+            energy, grad = latent_path_energy_with_grad(basis, path, coefficients, fixed_start)
+            ref_energy, ref_grad = _per_knot_reference(basis, path, coefficients, fixed_start)
+            assert ref_energy > 0
+            assert abs(energy - ref_energy) <= 1e-12 * ref_energy
+            if fixed_start:
+                assert not grad[0].any()
+                ref_grad[0] = 0.0
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+def test_path_energy_value_makes_no_foot_point_pass(monkeypatch):
+    basis = _basis(29)
+    path = 0.15 * np.random.default_rng(30).standard_normal((5, basis.dim))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return h2_vertex_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(elsa.latent, "h2_vertex_gradient", counted)
+    energy = latent_path_energy(basis, path, BODY)
+    assert not calls
+    assert energy == latent_path_energy_with_grad(basis, path, BODY, fixed_start=True)[0]
+    assert len(calls) == 1  # every knot's foot point from one call on the union
+
+
+@pytest.mark.parametrize("lift", [0.0, 1e-9], ids=["zero_area", "ill_conditioned"])
+def test_degenerate_interior_knot_names_template_face_and_knot(lift):
+    # field 0 moves vertex 5 onto the midpoint of the opposite edge of face 8,
+    # exactly (zero area, caught by validation) or lifted off the plane by
+    # ``lift`` (a metric tensor past the condition limit)
+    template = syn.grid_mesh(4, 4, 1.0)
+    face = 8
+    v0, v1, v2 = template.faces[face]
+    assert v0 == 5
+    fields = np.zeros((2, template.n_vertices, 3))
+    verts = template.vertices
+    fields[0, v0] = 0.5 * (verts[v1] + verts[v2]) - verts[v0] + [0.0, 0.0, lift]
+    fields[1] = 0.1 * np.sin(verts + 1.0)
+    basis = LatentBasis(template=template, fields=fields, n_shape=1, n_pose=1)
+    path = np.array([[0.0, 0.0], [0.5, 0.1], [1.0, 0.0], [0.2, 0.0]])
+    reason = "zero-area face" if lift == 0.0 else "ill-conditioned metric tensor"
+    for energy in (
+        lambda: latent_path_energy(basis, path, BODY),
+        lambda: latent_path_energy_with_grad(basis, path, BODY),
+    ):
+        with pytest.raises(DegenerateFaceError) as err:
+            energy()
+        assert err.value.face_index == face < template.n_faces
+        assert str(err.value) == f"{reason} at knot 2 (face {face})"
 
 
 def test_relabeling_basis_invariance():
