@@ -15,7 +15,12 @@ differentiated with respect to vertex positions:
   own finite difference of unit normals.
 
 :func:`path_energy_with_grads` sums the steps of a mesh path, for
-:func:`metric.path_energy` and the mesh geodesic solver alike.
+:func:`metric.path_energy` and the mesh geodesic solver alike.  It runs in
+passes over consecutive steps, each one step-energy call on the disjoint
+union of its left knots (:func:`metric._union_geometry`, as for the latent
+path's foot points) with its right knots as the right vertices.  A pass
+holds at most ``PASS_FACES`` faces: a single union of every step is slower
+at the paper's mesh sizes once its temporaries fall out of cache.
 
 Both functionals share the a1 and b1 trace form on the symmetric part of
 ``dq^T dh`` (:func:`trace_form`), the d1 term as one rotation scalar per face
@@ -49,8 +54,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import _OPPOSITE, TriangleMesh, cross, face_cotangents, face_frames, scatter_corners
-from .metric import _field_differential, _geometry
+from .mesh import (
+    _OPPOSITE,
+    DegenerateFaceError,
+    cross,
+    face_cotangents,
+    face_frames,
+    scatter_corners,
+)
+from .metric import _field_differential, _name_knot, _union_geometry
+
+#: faces per pass of :func:`path_energy_with_grads`; a larger union of steps
+#: loses to the step-by-step loop once its temporaries fall out of cache
+PASS_FACES = 8192
 
 
 def _rowdot(a, b):
@@ -476,16 +492,30 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
 def path_energy_with_grads(knots, faces, coefficients):
     """Path energy ``T * sum_t E(q_t, q_{t+1})`` and its ``(T+1, N, 3)`` knot gradient.
 
-    ``knots`` are the vertex arrays of a path on ``faces``; each step is
-    :func:`step_energy_discrete_with_grads` at its left knot.
+    ``knots`` are the vertex arrays of a path on ``faces``.  The steps run
+    in passes over consecutive steps, each holding at most ``PASS_FACES``
+    faces (and at least one step): a pass is one
+    :func:`step_energy_discrete_with_grads` call on the disjoint union of
+    its left knots (:func:`metric._union_geometry`), whose right vertices
+    are its right knots.  A degenerate face of either raises
+    ``DegenerateFaceError`` with its template face index, naming the knot.
     """
+    knots = np.asarray(knots, dtype=np.float64)
     T = len(knots) - 1
+    M = len(faces)
+    steps = max(1, PASS_FACES // max(M, 1))
     total = 0.0
-    grads = np.zeros((T + 1,) + np.shape(knots[0]))
-    for t in range(T):
-        geom = _geometry(TriangleMesh(knots[t], faces, validate=False))
-        value, grad_l, grad_r = step_energy_discrete_with_grads(geom, knots[t + 1], coefficients)
+    grads = np.zeros(knots.shape)
+    for start in range(0, T, steps):
+        stop = min(start + steps, T)
+        geom = _union_geometry(knots[start:stop], faces, start)
+        try:
+            value, grad_l, grad_r = step_energy_discrete_with_grads(
+                geom, knots[start + 1:stop + 1].reshape(-1, 3), coefficients
+            )
+        except DegenerateFaceError as exc:  # the right knots' unit normals
+            raise _name_knot(exc, M, start + 1) from exc
         total += value
-        grads[t] += grad_l
-        grads[t + 1] += grad_r
+        grads[start:stop] += grad_l.reshape(stop - start, -1, 3)
+        grads[start + 1:stop + 1] += grad_r.reshape(stop - start, -1, 3)
     return T * total, T * grads

@@ -38,14 +38,13 @@ from functools import cached_property
 import numpy as np
 
 from .mesh import (
-    DegenerateFaceError,
     MeshError,
     TriangleMesh,
     mesh_from_ply_bytes,
     ply_bytes,
     read_exact,
 )
-from .metric import _field_differential, _geometry
+from .metric import _field_differential, _geometry, _union_geometry, _union_tail
 from ._diff import face_blocks, h2_vertex_gradient, pair_blocks
 
 _BASIS_MAGIC = b"ELSABAS1"
@@ -189,33 +188,11 @@ def _check_path(basis, path):
     return path
 
 
-def _union_geometry(basis, knots):
-    """Geometry of the disjoint union of the meshes decoded at ``knots``, ``(K, P)``.
-
-    Copy ``k`` of the template holds vertices ``[k N, (k + 1) N)`` and faces
-    ``[k M, (k + 1) M)``; every per-face and per-vertex quantity is that of
-    its own copy, and the cotangent Laplacian is block diagonal.  A
-    degenerate face raises ``DegenerateFaceError`` with its template face
-    index, naming the knot.
-    """
-    template = basis.template
-    N, M = template.n_vertices, template.n_faces
-    vertices = template.vertices + np.tensordot(knots, basis.fields, axes=1)
-    faces = template.faces + N * np.arange(len(knots))[:, None, None]
-    try:
-        return _geometry(TriangleMesh(vertices.reshape(-1, 3), faces.reshape(-1, 3)))
-    except DegenerateFaceError as exc:
-        if exc.face_index is None:
-            raise
-        knot, face = divmod(exc.face_index, M)
-        raise DegenerateFaceError(f"{exc.reason} at knot {knot}", face) from exc
-
-
 def _knot_pass(basis, path, coefficients):
     """The metric applied to every increment of a path, in one pass over its knots.
 
     Returns ``(energy, geom, u, gd)``: the path energy, the geometry of the
-    union of the left knots (:func:`_union_geometry`), the increments'
+    union of the left knots (:func:`metric._union_geometry`), the increments'
     fields ``u = d_t . fields`` stacked as ``(T N, 3)`` on it, and the
     ``(T, P)`` products ``G(alpha_t) d_t``.  Each product reads ``u`` as
     :func:`gram` reads the fields: the face-local terms as
@@ -226,8 +203,10 @@ def _knot_pass(basis, path, coefficients):
     d = np.diff(path, axis=0)
     T = len(d)
     P, N = basis.fields.shape[:2]
-    M = basis.template.n_faces
-    geom = _union_geometry(basis, path[:-1])
+    template = basis.template
+    M = template.n_faces
+    geom = _union_geometry(template.vertices + np.tensordot(path[:-1], basis.fields, axes=1),
+                           template.faces)
     u = np.tensordot(d, basis.fields, axes=1).reshape(T * N, 3)
     df = basis.differentials.reshape(6 * M, P)
     du = (df @ d.T).T.reshape(T * M, 6)  # union face order: knot-major
@@ -260,17 +239,21 @@ def latent_path_energy_with_grad(basis, path, coefficients, fixed_start=False):
     differentiated in the decoded vertices, chained through the decoder
     fields).  That derivative comes from one :func:`_diff.h2_vertex_gradient`
     call on the union of the left knots, whose copies do not interact.
-    ``fixed_start`` holds the first knot: its row is left zero.
+    ``fixed_start`` holds the first knot: its row is left zero, and the
+    foot-point pass skips its copy.
     """
     energy, geom, u, gd = _knot_pass(basis, path, coefficients)
     T = len(gd)
-    foot = h2_vertex_gradient(geom, u, u, coefficients)
+    start = 1 if fixed_start else 0
     grad = np.zeros((T + 1, gd.shape[1]))
-    grad[:-1] = foot.reshape(T, -1) @ basis.fields_matrix.T
-    grad[:-1] -= 2.0 * gd
+    if start < T:
+        if start:
+            geom = _union_tail(geom, T, start)
+            u = u[start * basis.template.n_vertices:]
+        foot = h2_vertex_gradient(geom, u, u, coefficients)
+        grad[start:-1] = foot.reshape(T - start, -1) @ basis.fields_matrix.T
+    grad[start:-1] -= 2.0 * gd[start:]
     grad[1:] += 2.0 * gd
-    if fixed_start:
-        grad[0] = 0.0
     return energy, T * grad
 
 

@@ -285,6 +285,67 @@ def face_cotangents(frames):
 _OPPOSITE = ((1, 2), (2, 0), (0, 1))
 
 
+# the four entries (row, column, sign) of each corner's cotangent, for the edge
+# (i, j) opposite the corner: (i, j, -1), (j, i, -1), (i, i, +1), (j, j, +1)
+_ENTRY_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+@dataclass(frozen=True, eq=False)
+class _LaplacianPattern:
+    """CSR structure of the cotangent Laplacian of one face array.
+
+    ``slots`` maps the ``12 M`` corner entries, laid out as
+    ``(entry, face, corner)`` in the order of ``_ENTRY_SIGNS``, to their CSR
+    positions, so one ``np.bincount`` sums the cotangents into the values.
+    """
+
+    faces: np.ndarray
+    n_vertices: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+    @classmethod
+    def build(cls, faces, n):
+        i = faces[:, [a for a, _ in _OPPOSITE]]  # (M, 3), one edge per corner
+        j = faces[:, [b for _, b in _OPPOSITE]]
+        # row-major keys row * n + column of the entries
+        keys = np.stack([i * n + j, j * n + i, i * (n + 1), j * (n + 1)]).ravel()
+        keys, slots = np.unique(keys, return_inverse=True)
+        index = np.int32 if max(n, len(keys)) < 2**31 else np.int64
+        indptr = np.zeros(n + 1, dtype=index)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        return cls(faces, n, indptr, (keys % n).astype(index), slots.astype(np.intp, copy=False))
+
+    def matches(self, faces, n):
+        return self.n_vertices == n and (
+            self.faces is faces
+            or self.faces.shape == faces.shape and bool(np.array_equal(self.faces, faces))
+        )
+
+
+#: how many face arrays keep their Laplacian pattern, most recently used first
+_PATTERN_CACHE_SIZE = 4
+_patterns = []
+
+
+def _laplacian_pattern(faces, n):
+    """The cached :class:`_LaplacianPattern` of ``faces`` on ``n`` vertices.
+
+    ``faces`` must not change after the call (a mesh's face array is
+    read-only); an array equal to a cached one reuses its pattern.
+    """
+    for pattern in _patterns:
+        if pattern.matches(faces, n):
+            _patterns.remove(pattern)
+            break
+    else:
+        pattern = _LaplacianPattern.build(faces, n)
+    _patterns.insert(0, pattern)
+    del _patterns[_PATTERN_CACHE_SIZE:]
+    return pattern
+
+
 def cotan_laplacian(mesh, frames=None):
     """Sparse cotangent Laplacian ``L`` with ``(L h)_i = sum_j w_ij (h_i - h_j)``.
 
@@ -292,20 +353,20 @@ def cotan_laplacian(mesh, frames=None):
     in its incident faces; boundary edges have a single incident face and
     contribute one cotangent.  The cotangents come from ``frames``, by
     default :func:`face_frames` of the mesh.
+
+    The CSR pattern (row pointers, sorted column indices and the slot of
+    each corner entry) is built once per face array and vertex count and
+    kept for the last few face arrays; each call only sums the cotangents
+    into the values, in face order.  Off-diagonal entries hold at most two
+    terms, so they equal a COO assembly exactly; diagonal sums of more
+    terms may differ from one in the last bits.
     """
-    f = mesh.faces
-    cots = face_cotangents(face_frames(mesh) if frames is None else frames)
     n = mesh.n_vertices
-    rows, cols, vals = [], [], []
-    for corner, (a, b) in enumerate(_OPPOSITE):
-        i, j, w = f[:, a], f[:, b], cots[:, corner]
-        rows.extend([i, j, i, j])
-        cols.extend([j, i, i, j])
-        vals.extend([-w, -w, w, w])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    pattern = _laplacian_pattern(mesh.faces, n)
+    cots = face_cotangents(face_frames(mesh) if frames is None else frames)
+    weights = np.multiply.outer(_ENTRY_SIGNS, cots).ravel()
+    data = np.bincount(pattern.slots, weights=weights, minlength=len(pattern.indices))
+    return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def _check_field(mesh, h):

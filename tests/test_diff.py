@@ -11,14 +11,15 @@ import warnings
 import numpy as np
 import pytest
 
-from elsa import MetricCoefficients, TriangleMesh, h2_inner
+from elsa import DegenerateFaceError, MetricCoefficients, TriangleMesh, h2_inner
+from elsa import _diff
 from elsa._diff import (
     face_blocks,
     h2_vertex_gradient,
     path_energy_with_grads,
     step_energy_discrete_with_grads,
 )
-from elsa.mesh import vertex_volumes
+from elsa.mesh import MeshError, vertex_volumes
 from elsa.metric import _field_differential, _geometry
 
 import synthetic as syn
@@ -144,6 +145,73 @@ def test_path_energy_gradients_every_knot(coeffs):
         return path_energy_with_grads(x, faces, coeffs)[0]
 
     _directional_match(fun, grad, knots.copy(), rng)
+
+
+@pytest.mark.parametrize(
+    "subdivisions, T, passes", [(2, 3, 1), (3, 8, 2)], ids=["one_pass", "two_passes"]
+)
+def test_path_energy_passes_match_per_step_sum(subdivisions, T, passes):
+    # passes over unions of consecutive steps reorder only the energy's sum:
+    # 1e-14 relative for the energy, 1e-13 of the largest gradient entry
+    mesh = syn.icosphere(subdivisions)
+    steps = _diff.PASS_FACES // mesh.n_faces  # steps per pass
+    assert steps > 1 and -(-T // steps) == passes
+    rng = np.random.default_rng(600 + T)
+    faces = mesh.faces
+    knots = mesh.vertices + np.concatenate([
+        np.zeros((1,) + mesh.vertices.shape),
+        np.cumsum(0.01 * rng.standard_normal((T,) + mesh.vertices.shape), axis=0),
+    ])
+    energy, grad = path_energy_with_grads(knots, faces, BODY)
+    ref_energy, ref_grad = 0.0, np.zeros_like(knots)
+    for t in range(T):
+        geom = _geometry(TriangleMesh(knots[t], faces, validate=False))
+        value, grad_l, grad_r = step_energy_discrete_with_grads(geom, knots[t + 1], BODY)
+        ref_energy += value
+        ref_grad[t] += grad_l
+        ref_grad[t + 1] += grad_r
+    ref_energy, ref_grad = T * ref_energy, T * ref_grad
+    assert ref_energy > 0
+    assert abs(energy - ref_energy) <= 1e-14 * ref_energy
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("steps_per_pass", [1, 2, 3])
+@pytest.mark.parametrize(
+    "lift, knot",
+    [(0.0, 2), (1e-9, 2), (0.0, 3)],
+    ids=["zero_area", "ill_conditioned", "zero_area_last_knot"],
+)
+def test_mesh_path_degenerate_knot_names_template_face_and_knot(monkeypatch, lift, knot,
+                                                                steps_per_pass):
+    # the knots of the latent twin of this test, decoded: vertex 5 sits on the
+    # midpoint of the opposite edge of face 8 at ``knot``, or ``lift`` above it.
+    # A right knot fails on its unit normals, a left knot on its geometry;
+    # the last knot is only a right knot, whose metric tensor is not inverted
+    template = syn.grid_mesh(4, 4, 1.0)
+    face = 8
+    v0, v1, v2 = template.faces[face]
+    fields = np.zeros((2, template.n_vertices, 3))
+    verts = template.vertices
+    fields[0, v0] = 0.5 * (verts[v1] + verts[v2]) - verts[v0] + [0.0, 0.0, lift]
+    fields[1] = 0.1 * np.sin(verts + 1.0)
+    path = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.0], [0.2, 0.0]])
+    path[knot] = [1.0, 0.0]
+    knots = verts + np.tensordot(path, fields, axes=1)
+    monkeypatch.setattr(_diff, "PASS_FACES", steps_per_pass * template.n_faces)
+    reason = "zero-area face" if lift == 0.0 else "ill-conditioned metric tensor"
+    with pytest.raises(DegenerateFaceError) as err:
+        path_energy_with_grads(knots, template.faces, BODY)
+    assert err.value.face_index == face < template.n_faces
+    assert str(err.value) == f"{reason} at knot {knot} (face {face})"
+
+
+def test_mesh_path_non_finite_knot_raises():
+    mesh = syn.icosphere(1)
+    knots = np.stack([mesh.vertices, 1.1 * mesh.vertices, 1.2 * mesh.vertices])
+    knots[1, 3, 0] = np.nan
+    with pytest.raises(MeshError, match="non-finite vertex coordinates"):
+        path_energy_with_grads(knots, mesh.faces, BODY)
 
 
 @pytest.mark.parametrize(

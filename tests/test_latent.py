@@ -285,6 +285,26 @@ def test_path_energy_gradient_with_fixed_start():
     assert not grad_fixed[0].any()
 
 
+def test_fixed_start_foot_point_pass_skips_first_knot(monkeypatch):
+    basis = _basis(24)
+    M = basis.template.n_faces
+    path = 0.15 * np.random.default_rng(25).standard_normal((5, basis.dim))
+    faces_seen = []
+
+    def counted(geom, *args, **kwargs):
+        faces_seen.append(geom.mesh.n_faces)
+        return h2_vertex_gradient(geom, *args, **kwargs)
+
+    monkeypatch.setattr(elsa.latent, "h2_vertex_gradient", counted)
+    latent_path_energy_with_grad(basis, path, BODY)
+    latent_path_energy_with_grad(basis, path, BODY, fixed_start=True)
+    assert faces_seen == [4 * M, 3 * M]
+    # one step with a fixed start has no foot point to differentiate
+    energy, grad = latent_path_energy_with_grad(basis, path[:2], BODY, fixed_start=True)
+    assert faces_seen == [4 * M, 3 * M]
+    assert not grad[0].any() and grad[1].any()
+
+
 def _per_knot_reference(basis, path, coefficients, fixed_start):
     """The path energy and its gradient from one Gram and one foot-point pass per knot."""
     T = len(path) - 1

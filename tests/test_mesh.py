@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from elsa import (
     DegenerateFaceError,
@@ -18,8 +19,11 @@ from elsa import (
     save_mesh,
     vertex_volumes,
 )
+import elsa.mesh
 from elsa.mesh import (
+    _OPPOSITE,
     MeshError,
+    cotan_laplacian,
     cross,
     face_corners,
     face_cotangents,
@@ -461,6 +465,82 @@ def test_laplacian_matches_bruteforce_oracle():
         expected[i] += w * (h[i] - h[j])
         expected[j] += w * (h[j] - h[i])
     assert np.allclose(cotan_laplacian_apply(mesh, h), expected, atol=1e-10)
+
+
+def _coo_laplacian(mesh):
+    """The cotangent Laplacian assembled by scipy from its COO corner entries."""
+    f = mesh.faces
+    cots = face_cotangents(face_frames(mesh))
+    rows, cols, vals = [], [], []
+    for corner, (a, b) in enumerate(_OPPOSITE):
+        i, j, w = f[:, a], f[:, b], cots[:, corner]
+        rows += [i, j, i, j]
+        cols += [j, i, i, j]
+        vals += [-w, -w, w, w]
+    n = mesh.n_vertices
+    lap = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    lap.sort_indices()
+    return lap
+
+
+def _union(*meshes):
+    offsets = np.cumsum([0] + [m.n_vertices for m in meshes[:-1]])
+    return TriangleMesh(np.concatenate([m.vertices for m in meshes]),
+                        np.concatenate([m.faces + k for m, k in zip(meshes, offsets)]))
+
+
+def _laplacian_test_mesh(kind):
+    bumpy = syn.bumpy_mesh(40, seed=6)
+    if kind == "closed":
+        return syn.icosphere(2)
+    if kind == "open":
+        return syn.grid_mesh(6, 5, 0.3)
+    if kind == "isolated_vertex":
+        return TriangleMesh(np.vstack([bumpy.vertices, [[2.0, 2.0, 2.0]]]), bumpy.faces)
+    return _union(bumpy, bumpy.with_vertices(1.1 * bumpy.vertices[:, ::-1]), syn.grid_mesh(4, 4))
+
+
+def _assert_matches_coo(mesh):
+    # off-diagonal entries sum at most two cotangents, so they match exactly;
+    # a diagonal entry sums every incident corner, in face order here and in
+    # scipy's sorted order there: to 1e-14 of the row's absolute sum
+    got, ref = cotan_laplacian(mesh), _coo_laplacian(mesh)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(ref.indptr))
+    diagonal = ref.indices == rows
+    assert np.array_equal(got.data[~diagonal], ref.data[~diagonal])
+    scale = np.asarray(abs(ref).sum(axis=1)).ravel()[rows[diagonal]]
+    assert np.all(np.abs(got.data[diagonal] - ref.data[diagonal]) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("kind", ["closed", "open", "isolated_vertex", "union"])
+def test_cached_laplacian_matches_coo_assembly(kind):
+    mesh = _laplacian_test_mesh(kind)
+    _assert_matches_coo(mesh)
+    _assert_matches_coo(mesh)  # served from the cached pattern
+    if kind == "isolated_vertex":
+        assert cotan_laplacian(mesh)[-1].nnz == 0
+
+
+def test_laplacian_pattern_not_served_to_another_face_array():
+    # same face-array shape and vertex count, different faces: each mesh gets
+    # its own Laplacian, whichever was seen last
+    mesh = syn.icosphere(2)
+    permuted, _ = syn.permute_mesh(mesh, seed=3)
+    assert permuted.faces.shape == mesh.faces.shape
+    assert not np.array_equal(permuted.faces, mesh.faces)
+    for m in (mesh, permuted, mesh, permuted):
+        _assert_matches_coo(m)
+    # an equal copy of a face array reuses its pattern; the cache stays bounded
+    pattern = elsa.mesh._laplacian_pattern
+    n = mesh.n_vertices
+    assert pattern(mesh.faces.copy(), n) is pattern(mesh.faces, n)
+    for k in range(2 * elsa.mesh._PATTERN_CACHE_SIZE):
+        cotan_laplacian(syn.grid_mesh(3 + k, 3))
+    assert len(elsa.mesh._patterns) == elsa.mesh._PATTERN_CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
