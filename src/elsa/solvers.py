@@ -11,11 +11,13 @@ search treats as "step too far" and halves away from (up to
 The shooting solver (:func:`geodesic_ivp`) advances a discrete geodesic by
 requiring each knot to be the geodesic midpoint of its neighbors: every step
 solves the stationarity system of the two-step energy for the next knot by
-Gauss-Newton on the squared residual, differentiating the metric with the
-same exact foot-point gradient as the path energy.  The residual makes the
-only foot-point gradient call per iterate; the Jacobian pairs the basis
-fields' cached per-face differentials with 6x6 blocks of that gradient's
-face-local terms (:func:`_diff.h2_gradient_pairing`), with no call per field.
+Newton's method on that square system, halving a step until the residual
+falls, and differentiates the metric with the same exact foot-point gradient
+as the path energy.  A step whose residual stays above tolerance fails the
+shot with :class:`SolverFailure`.  The residual makes the only foot-point
+gradient call per iterate; the Jacobian pairs the basis fields' cached
+per-face differentials with 6x6 blocks of that gradient's face-local terms
+(:func:`_diff.h2_gradient_pairing`), with no call per field.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from ._diff import h2_gradient_pairing, h2_vertex_gradient, path_energy_with_grads
 from .latent import decode, gram, latent_path_energy, latent_path_energy_with_grad
 from .mesh import MeshError, TriangleMesh
-from .metric import _geometry
+from .metric import _union_geometry
 from .varifold import VarifoldConfig, VarifoldTarget, varifold_sqdist_to, varifold_value_and_grad
 
 
@@ -37,6 +39,12 @@ WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 #: step halvings (and zoom steps) before a line search gives up
 MAX_STEP_HALVINGS = 30
+#: shooting: residual tolerance per latent dimension of each step's solve
+RESIDUAL_TOLERANCE = 1e-8
+#: shooting: Newton iterations of one step, and halvings of one Newton step
+#: without a fall of the residual, before the step gives up
+MAX_NEWTON_ITERATIONS = 200
+MAX_NEWTON_HALVINGS = 10
 
 
 class SolverFailure(RuntimeError):
@@ -465,86 +473,85 @@ def _shooting_system(basis, geom, g_cur, rhs, coefficients):
 
 
 def _midpoint_residual_solve(residual, jacobian, b, g_cur, rhs, tol):
-    """Drive ``|residual(b)|`` below ``tol`` from ``b``; return ``(b, |residual|)``.
+    """Newton's method for ``residual(b) = 0`` from ``b``; return ``(b, |residual|)``.
 
-    Levenberg-Marquardt-damped Gauss-Newton with backtracking, on a Jacobian
-    built afresh at every iterate; a failed backtrack raises the damping.  Gives
-    up once ``|residual|`` reaches its rounding, ``eps (|rhs| + 2 |G_cur b|)``,
-    below which no step can be told to reduce it.
+    Each iterate solves the square system ``J dx = -Phi`` on the Jacobian at
+    ``b`` and halves ``dx`` until ``|Phi|`` falls.  Stops below ``tol``, at the
+    residual's rounding ``eps (|rhs| + 2 |G_cur b|)`` (below which no step can
+    be told to reduce it), on a singular Jacobian, or when
+    ``MAX_NEWTON_HALVINGS`` halvings find no fall; the caller compares the
+    returned norm with ``tol``.
     """
     eps = np.finfo(float).eps
     rhs_norm = float(np.linalg.norm(rhs))
     r = residual(b)
     rn = float(np.linalg.norm(r))
-    mu = 0.0
-    eye = np.eye(b.size)
-    for _ in range(200):
+    for _ in range(MAX_NEWTON_ITERATIONS):
         if rn <= max(tol, eps * (rhs_norm + 2.0 * float(np.linalg.norm(g_cur @ b)))):
             break
-        jac = jacobian(b)
         try:
-            dx = np.linalg.solve(jac.T @ jac + mu * eye, -(jac.T @ r))
+            dx = np.linalg.solve(jacobian(b), -r)
         except np.linalg.LinAlgError:
-            dx = np.linalg.lstsq(jac, -r, rcond=None)[0]
-        step = 1.0
-        for _ in range(40):
-            cand = b + step * dx
+            break
+        for halvings in range(MAX_NEWTON_HALVINGS + 1):
+            cand = b + 0.5**halvings * dx
             rc = residual(cand)
             rcn = float(np.linalg.norm(rc))
             if rcn < rn:
                 b, r, rn = cand, rc, rcn
-                mu *= 0.25
                 break
-            step *= 0.5
         else:
-            mu = max(4.0 * mu, 1e-8 * float(np.trace(g_cur @ g_cur)) ** 0.5, 1e-12)
-            if mu > 1e12:
-                break
+            break
     return b, rn
 
 
-def geodesic_ivp(basis, alpha0, beta, steps, coefficients, residual_tolerance=None):
+def geodesic_ivp(basis, alpha0, beta, steps, coefficients):
     """Shoot a discrete geodesic from a code along an initial velocity.
 
     The first knot past the start is ``alpha0 + beta/N``; each subsequent
     knot makes its predecessor the geodesic midpoint of its two neighbors:
     the middle-knot gradient of the two-step path energy must vanish (the
-    discrete exponential map), solved with exact derivatives of the metric.
+    discrete exponential map), solved for the step to the next knot by
+    Newton's method with exact derivatives of the metric
+    (:func:`_midpoint_residual_solve`).
 
-    Returns the ``(N+1, P)`` path.  Raises :class:`SolverFailure` with the
-    step index if a residual cannot be driven below tolerance, and
-    propagates decode errors for degenerate knots.
+    Returns the ``(N+1, P)`` path.  Raises :class:`SolverFailure` naming the
+    step when its residual stays above ``RESIDUAL_TOLERANCE * P``, and
+    ``DegenerateFaceError`` naming the knot when a knot's mesh has a
+    degenerate face.
     """
     alpha0 = basis.check_code(alpha0)
-    beta = np.asarray(beta, dtype=np.float64)
+    beta = basis.check_code(beta)
     N = int(steps)
     if N < 2:
         raise ValueError("steps must be >= 2")
     P = basis.dim
-    tol = residual_tolerance if residual_tolerance is not None else 1e-8 * P
+    tol = RESIDUAL_TOLERANCE * P
+    template = basis.template
 
-    def knot(alpha):
-        geom = _geometry(decode(basis, alpha))
-        return geom, gram(basis, alpha, coefficients, geometry=geom)
+    def knot(k):
+        vertices = template.vertices + np.tensordot(path[k], basis.fields, axes=1)
+        geom = _union_geometry(vertices[None], template.faces, first_knot=k)
+        return geom, gram(basis, path[k], coefficients, geometry=geom)
 
     path = np.empty((N + 1, P))
     path[0] = alpha0
     path[1] = alpha0 + beta / N
-    g_prev = gram(basis, path[0], coefficients)
-    geom, g_cur = knot(path[1])
+    g_prev = knot(0)[1]
+    geom, g_cur = knot(1)
     for k in range(1, N):
         beta0 = path[k] - path[k - 1]
         rhs = 2.0 * (g_prev @ beta0)
         residual, jacobian = _shooting_system(basis, geom, g_cur, rhs, coefficients)
         bt, rn = _midpoint_residual_solve(residual, jacobian, beta0, g_cur, rhs, tol)
-        if rn > tol:
+        if not rn <= tol:
             raise SolverFailure(
                 f"shooting residual {rn:.3e} above tolerance {tol:.3e} at step {k}"
             )
         path[k + 1] = path[k] + bt
         if k < N - 1:
             g_prev = g_cur
-            geom, g_cur = knot(path[k + 1])
+            geom, g_cur = knot(k + 1)
     return path
 
 

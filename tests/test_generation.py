@@ -228,5 +228,5 @@ def test_failed_shot_names_the_seed():
     template = syn.icosphere(1)
     shift = np.broadcast_to([1.0, 0.0, 0.0], template.vertices.shape)
     basis = LatentBasis(template, np.stack([-template.vertices, shift]), 1, 1)
-    with pytest.raises(SolverFailure, match="seed 7"):
+    with pytest.raises(SolverFailure, match="seed 7 failed: zero-area face at knot 1"):
         generate_shape(basis, _point_model([4.0]), _point_model([0.0]), 4, BODY, seed=7)

@@ -25,8 +25,8 @@ from elsa import (
     varifold_sqdist,
 )
 from elsa import _diff, latent, metric, solvers
-from elsa.latent import latent_path_energy_with_grad
-from elsa.mesh import MeshError
+from elsa.latent import LatentBasis, latent_path_energy_with_grad
+from elsa.mesh import DegenerateFaceError, MeshError
 from elsa.metric import _geometry
 
 import synthetic as syn
@@ -525,17 +525,110 @@ def test_ivp_residual_tolerance_enforced(monkeypatch):
     # the residual reaches its rounding within a few evaluations; the solve must
     # give up there instead of backtracking on noise
     monkeypatch.setattr(solvers, "h2_vertex_gradient", counted)
+    monkeypatch.setattr(solvers, "RESIDUAL_TOLERANCE", 1e-300)
     with pytest.raises(SolverFailure) as err:
-        geodesic_ivp(
-            basis,
-            np.zeros(basis.dim),
-            0.05 * np.ones(basis.dim),
-            4,
-            BODY,
-            residual_tolerance=1e-300,
-        )
+        geodesic_ivp(basis, np.zeros(basis.dim), 0.05 * np.ones(basis.dim), 4, BODY)
     assert "step" in str(err.value)
     assert len(calls) <= 100
+
+
+def _newton(residual, jacobian, b, tol=1e-12):
+    """Run the shooting step's solve on a synthetic system; count residual calls."""
+    calls = []
+
+    def counted(x):
+        calls.append(np.array(x))
+        return residual(x)
+
+    b = np.asarray(b, dtype=float)
+    out, rn = solvers._midpoint_residual_solve(
+        counted, jacobian, b, np.zeros((b.size, b.size)), np.zeros(b.size), tol
+    )
+    return out, rn, calls
+
+
+def test_newton_full_steps_converge():
+    # a linear system: one full Newton step lands on the root
+    amat = np.array([[3.0, 1.0], [1.0, 2.0]])
+    rhs = np.array([1.0, -2.0])
+    b, rn, calls = _newton(lambda x: amat @ x - rhs, lambda x: amat, np.zeros(2))
+    assert rn <= 1e-12
+    assert np.allclose(b, np.linalg.solve(amat, rhs), rtol=0, atol=1e-14)
+    assert len(calls) == 2
+
+
+def test_newton_step_accepted_after_halving():
+    # arctan's full Newton step from b = 1.5 overshoots to |b| > 1.5; the
+    # halved step falls, and Newton then converges to the root at 0
+    b, rn, calls = _newton(np.arctan, lambda x: np.diag(1.0 / (1.0 + x**2)), [1.5])
+    assert rn <= 1e-12 and abs(b[0]) <= 1e-12
+    full = 1.5 - np.arctan(1.5) * (1.0 + 1.5**2)
+    assert calls[1][0] == pytest.approx(full, rel=1e-14)
+    assert abs(np.arctan(calls[1][0])) > np.arctan(1.5)
+    assert calls[2][0] == pytest.approx(0.5 * (1.5 + full), rel=1e-14)
+
+
+def test_newton_stops_at_halving_cap_without_root():
+    # b^2 + 1 has no real root: the solve gives up once MAX_NEWTON_HALVINGS
+    # halvings find no fall, above tolerance, after a bounded number of calls
+    b, rn, calls = _newton(lambda x: x**2 + 1.0, lambda x: np.diag(2.0 * x), [0.5])
+    assert rn >= 1.0
+    assert np.isfinite(b).all()
+    # the last iterate tried every halving
+    last = calls[-(solvers.MAX_NEWTON_HALVINGS + 1):]
+    assert all(float(c[0] ** 2 + 1.0) >= rn for c in last)
+    assert len(calls) <= 3 * (solvers.MAX_NEWTON_HALVINGS + 1)
+
+
+def test_newton_singular_jacobian_ends_above_tolerance():
+    # a singular Jacobian has no Newton step: the solve stops there instead of
+    # raising LinAlgError, and its residual stays above tolerance
+    b0 = np.array([1.0, 2.0])
+    b, rn, calls = _newton(lambda x: x + 1.0, lambda x: np.zeros((2, 2)), b0)
+    assert np.array_equal(b, b0)
+    assert rn == np.linalg.norm(b0 + 1.0)
+    assert len(calls) == 1
+
+
+def test_ivp_singular_jacobian_fails_the_step(monkeypatch):
+    basis = syn.random_basis(syn.icosphere(1), 2, 2, seed=22)
+    original = solvers._shooting_system
+
+    def singular(*args):
+        residual, _ = original(*args)
+        return residual, lambda b: np.zeros((b.size, b.size))
+
+    monkeypatch.setattr(solvers, "_shooting_system", singular)
+    with pytest.raises(SolverFailure, match="at step 1"):
+        geodesic_ivp(basis, np.zeros(basis.dim), 0.5 * np.ones(basis.dim), 4, BODY)
+
+
+def test_ivp_rejects_velocity_of_wrong_shape():
+    basis = syn.random_basis(syn.icosphere(1), 2, 2, seed=22)
+    with pytest.raises(ValueError, match="shape"):
+        geodesic_ivp(basis, np.zeros(basis.dim), [0.5], 4, BODY)
+
+
+def _collapse_basis():
+    # the only field pulls every vertex to the origin: code 1 is a point
+    template = syn.icosphere(1)
+    return LatentBasis(template, -template.vertices[None], 1, 0)
+
+
+@pytest.mark.parametrize("alpha0, beta, knot", [(1.0, 0.4, 0), (0.0, 4.0, 1)])
+def test_ivp_degenerate_knot_named(alpha0, beta, knot):
+    with pytest.raises(DegenerateFaceError, match=f"zero-area face at knot {knot}"):
+        geodesic_ivp(_collapse_basis(), [alpha0], [beta], 4, BODY)
+
+
+def test_ivp_degenerate_later_knot_named(monkeypatch):
+    # a step that lands on the collapsed code names the knot it makes
+    def to_collapse(residual, jacobian, b, g_cur, rhs, tol):
+        return 0.9, 0.0
+
+    monkeypatch.setattr(solvers, "_midpoint_residual_solve", to_collapse)
+    with pytest.raises(DegenerateFaceError, match="zero-area face at knot 2"):
+        geodesic_ivp(_collapse_basis(), [0.0], [0.4], 4, BODY)
 
 
 # ---------------------------------------------------------------------------
