@@ -10,13 +10,16 @@ search treats as "step too far" and halves away from (up to
 
 The shooting solver (:func:`geodesic_ivp`) advances a discrete geodesic by
 requiring each knot to be the geodesic midpoint of its neighbors: every step
-solves the stationarity system of the two-step energy for the next knot by
-Newton's method on that square system, halving a step until the residual
-falls, and differentiates the metric with the same exact foot-point gradient
-as the path energy.  A step whose residual stays above tolerance fails the
-shot with :class:`SolverFailure`.  The residual makes the only foot-point
-gradient call per iterate; the Jacobian pairs the basis fields' cached
-per-face differentials with 6x6 blocks of that gradient's face-local terms
+solves the stationarity system of the two-step energy for the next knot by a
+chord-Newton iteration on that square system, and differentiates the metric
+with the same exact foot-point gradient as the path energy.  A step builds
+its Jacobian once and reuses it while its full steps at least halve the
+residual; a reused step that does not is dropped and the Jacobian rebuilt at
+the current iterate, whose step is halved until the residual falls.  A step
+whose residual stays above tolerance fails the shot with
+:class:`SolverFailure`.  The residual makes the only foot-point gradient call
+per iterate; the Jacobian pairs the basis fields' cached per-face
+differentials with 6x6 blocks of that gradient's face-local terms
 (:func:`_diff.h2_gradient_pairing`), with no call per field.
 """
 
@@ -473,24 +476,36 @@ def _shooting_system(basis, geom, g_cur, rhs, coefficients):
 
 
 def _midpoint_residual_solve(residual, jacobian, b, g_cur, rhs, tol):
-    """Newton's method for ``residual(b) = 0`` from ``b``; return ``(b, |residual|)``.
+    """Chord-Newton iteration for ``residual(b) = 0`` from ``b``; return ``(b, |residual|)``.
 
-    Each iterate solves the square system ``J dx = -Phi`` on the Jacobian at
-    ``b`` and halves ``dx`` until ``|Phi|`` falls.  Stops below ``tol``, at the
-    residual's rounding ``eps (|rhs| + 2 |G_cur b|)`` (below which no step can
-    be told to reduce it), on a singular Jacobian, or when
-    ``MAX_NEWTON_HALVINGS`` halvings find no fall; the caller compares the
-    returned norm with ``tol``.
+    Each iterate solves the square system ``J dx = -Phi``.  The Jacobian is
+    built once and reused: a reused Jacobian's full step is accepted only if
+    it at least halves ``|Phi|``; otherwise that candidate is dropped and the
+    Jacobian rebuilt at the current ``b``.  A fresh Jacobian's step is halved
+    until ``|Phi|`` falls.  Stops below ``tol``, at the residual's rounding
+    ``eps (|rhs| + 2 |G_cur b|)`` (below which no step can be told to reduce
+    it), on a singular fresh Jacobian, or when ``MAX_NEWTON_HALVINGS``
+    halvings of a fresh step find no fall; the caller compares the returned
+    norm with ``tol``.
     """
     eps = np.finfo(float).eps
     rhs_norm = float(np.linalg.norm(rhs))
     r = residual(b)
     rn = float(np.linalg.norm(r))
+    jac = None
     for _ in range(MAX_NEWTON_ITERATIONS):
         if rn <= max(tol, eps * (rhs_norm + 2.0 * float(np.linalg.norm(g_cur @ b)))):
             break
+        if jac is not None:
+            cand = b + np.linalg.solve(jac, -r)
+            rc = residual(cand)
+            rcn = float(np.linalg.norm(rc))
+            if rcn <= 0.5 * rn:
+                b, r, rn = cand, rc, rcn
+                continue
         try:
-            dx = np.linalg.solve(jacobian(b), -r)
+            jac = jacobian(b)
+            dx = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             break
         for halvings in range(MAX_NEWTON_HALVINGS + 1):
@@ -512,8 +527,10 @@ def geodesic_ivp(basis, alpha0, beta, steps, coefficients):
     knot makes its predecessor the geodesic midpoint of its two neighbors:
     the middle-knot gradient of the two-step path energy must vanish (the
     discrete exponential map), solved for the step to the next knot by
-    Newton's method with exact derivatives of the metric
-    (:func:`_midpoint_residual_solve`).
+    chord-Newton iterates with exact derivatives of the metric
+    (:func:`_midpoint_residual_solve`): one Jacobian per step while its full
+    steps at least halve the residual, rebuilt where one does not.  Each step
+    starts from the previous step's offset.
 
     Returns the ``(N+1, P)`` path.  Raises :class:`SolverFailure` naming the
     step when its residual stays above ``RESIDUAL_TOLERANCE * P``, and

@@ -179,7 +179,8 @@ def test_truncated_containers_exit_2(workspace, capsys):
     save_mesh(load_mesh(ws["target_path"]), ply_path)  # ASCII
     data = ply_path.read_bytes()
     after_last_full_line = data.rindex(b"\n", 0, len(data) - 1) + 1
-    for cut in (after_last_full_line, len(data) - 4):
+    # cut before, inside and after the last number of the last face row
+    for cut in (after_last_full_line, len(data) - 4, len(data) - 2, len(data) - 1):
         cut_path = tmp / f"cut_{cut}.ply"
         cut_path.write_bytes(data[:cut])
         assert _run("distance", "--config", ws["cfg_path"], ws["target_path"], cut_path) == 2

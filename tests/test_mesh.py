@@ -161,6 +161,20 @@ def test_ply_truncated(tmp_path, binary):
             pytest.fail(f"cut {where} was read")
 
 
+def test_ply_ascii_last_row_needs_a_newline(tmp_path):
+    # a cut inside the last number still leaves three indices on the last row
+    path = tmp_path / "m.ply"
+    save_mesh(syn.icosphere(1), path)
+    data = path.read_bytes()
+    assert data.endswith(b"3 41 30 23\n")
+    for cut in (2, 1):
+        cut_path = tmp_path / f"cut_{cut}.ply"
+        cut_path.write_bytes(data[:-cut])
+        with pytest.raises(MeshParseError, match=": truncated 'face' element"):
+            load_mesh(cut_path)
+    assert np.array_equal(load_mesh(path).faces[-1], [41, 30, 23])
+
+
 def _ply_file(binary, header, records, text_rows):
     """A PLY file in either encoding: binary records or ASCII text rows."""
     fmt = "binary_little_endian" if binary else "ascii"
@@ -395,9 +409,11 @@ def test_metric_tensor_positive_definite():
 
 
 def test_frame_consistency_g_equals_dqTdq():
-    fr = face_frames(syn.bumpy_mesh(30, seed=5))
-    assert np.allclose(fr.g, np.einsum("mia,mib->mab", fr.dq, fr.dq), rtol=1e-12)
-    assert np.allclose(np.linalg.norm(fr.n, axis=1), 1.0, atol=1e-12)
+    # the row dot products of g round like the batched einsum of the edge matrices
+    for mesh in (syn.icosphere(3), syn.bumpy_mesh(30, seed=5)):
+        fr = face_frames(mesh)
+        assert np.array_equal(fr.g, np.einsum("mia,mib->mab", fr.dq, fr.dq))
+        assert np.allclose(np.linalg.norm(fr.n, axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -590,6 +590,69 @@ def test_newton_singular_jacobian_ends_above_tolerance():
     assert len(calls) == 1
 
 
+
+def _built_at(jacobian):
+    """Wrap a Jacobian callable; the list records the iterate of each build."""
+    where = []
+
+    def counted(x):
+        where.append(np.array(x))
+        return jacobian(x)
+
+    return counted, where
+
+
+def test_newton_reuses_the_jacobian_while_steps_halve_the_residual():
+    # a mildly nonlinear system: every step on the starting Jacobian at least
+    # halves |Phi|, so the solve converges without building another
+    amat = np.array([[3.0, 1.0], [1.0, 2.0]])
+    rhs = np.array([1.0, -2.0])
+    jacobian, where = _built_at(lambda x: amat + np.diag(0.1 * x))
+    b, rn, calls = _newton(lambda x: amat @ x + 0.05 * x**2 - rhs, jacobian, np.zeros(2))
+    assert rn <= 1e-12
+    assert len(where) == 1 and np.array_equal(where[0], np.zeros(2))
+    assert len(calls) > 3
+    norms = [np.linalg.norm(amat @ c + 0.05 * c**2 - rhs) for c in calls]
+    assert all(n1 <= 0.5 * n0 for n0, n1 in zip(norms, norms[1:]))
+
+
+def test_newton_rebuilds_the_jacobian_at_the_iterate_not_the_rejected_step():
+    # arctan from b = 1.5: the first step is accepted after one halving (calls
+    # 1, 2); the full step on that stale Jacobian does not halve |Phi| (call 3),
+    # so it is dropped and the Jacobian rebuilt at the accepted iterate
+    jacobian, where = _built_at(lambda x: np.diag(1.0 / (1.0 + x**2)))
+    b, rn, calls = _newton(np.arctan, jacobian, [1.5])
+    assert rn <= 1e-12 and abs(b[0]) <= 1e-12
+    accepted, rejected = calls[2], calls[3]
+    assert abs(np.arctan(rejected[0])) > 0.5 * abs(np.arctan(accepted[0]))
+    assert rejected[0] == pytest.approx(accepted[0] - np.arctan(accepted[0]) * (1.0 + 1.5**2))
+    assert len(where) == 2
+    assert where[0][0] == 1.5 and where[1][0] == accepted[0]
+    # the later steps reuse the rebuilt Jacobian: every one after the rejected
+    # candidate lands at least halfway to the root
+    after = [abs(np.arctan(c[0])) for c in [accepted, *calls[4:]]]
+    assert all(n1 <= 0.5 * n0 for n0, n1 in zip(after, after[1:]))
+
+
+def test_ivp_builds_one_jacobian_per_step(monkeypatch):
+    basis = syn.random_basis(syn.icosphere(2), 3, 3, seed=5)
+    rng = np.random.default_rng(5)
+    alpha0 = 0.1 * rng.standard_normal(basis.dim)
+    beta = rng.standard_normal(basis.dim)
+    original = solvers._shooting_system
+    steps = []
+
+    def counted(*args):
+        residual, jacobian = original(*args)
+        jacobian, where = _built_at(jacobian)
+        steps.append(where)
+        return residual, jacobian
+
+    monkeypatch.setattr(solvers, "_shooting_system", counted)
+    geodesic_ivp(basis, alpha0, 0.5 * beta / np.linalg.norm(beta), 5, BODY)
+    assert [len(where) for where in steps] == [1, 1, 1, 1]
+
+
 def test_ivp_singular_jacobian_fails_the_step(monkeypatch):
     basis = syn.random_basis(syn.icosphere(1), 2, 2, seed=22)
     original = solvers._shooting_system
