@@ -28,6 +28,9 @@ and the per-vertex a0 and a2 terms (:func:`vertex_terms`); c1 is read through
 the normal components of ``dh`` as in :func:`face_blocks`, except in the step
 energy's finite difference of unit normals.  Edges, unit normals and areas
 are read from :func:`mesh.face_frames`, the single source of per-face geometry.
+Every term is formed whatever its weight, with no branch on a zero weight:
+a zero weight multiplies its term's full work by zero, so a one-hot weight
+vector runs the presets' code.
 Gradients are assembled per face from a handful of adjoint channels (area,
 unit normal, edge matrix, vertex volume, cotangent weights) into one
 ``(M, 3, 2)`` edge-matrix adjoint, which :func:`edge_corners` and the one
@@ -44,10 +47,10 @@ terms of the foot-point gradient (a1, b1, c1, d1 and their area channel,
 :func:`face_terms`) are linear in the second field's per-face differential,
 so their edge adjoint is one 6x6 block per face applied to it:
 :func:`h2_gradient_pairing` builds those blocks from the six unit
-differentials, and the Jacobian of a shooting step costs a fixed number of
-mesh passes, whatever the number of fields.  Each channel is exercised
-against central finite differences by the test suite; the algebra is
-unforgiving, the tests are not optional.
+differentials and returns the pairing matrix of a shooting step's
+Jacobian, at a fixed number of mesh passes whatever the number of fields.
+Each channel is exercised against central finite differences by the test
+suite; the algebra is unforgiving, the tests are not optional.
 """
 
 from __future__ import annotations
@@ -217,18 +220,17 @@ def vertex_terms(geom, u, v, a0, a2):
     ``v`` may carry trailing axes, ``(N, 3, ...)``, over which the results
     broadcast.  Returns ``(density, lap_v, lam)``: the terms sum to
     ``density @ vol``, so the density is also the adjoint of the vertex
-    volumes; ``lam(corner)`` is the a2 term's ``(M, ...)`` adjoint of that
-    corner's cotangents (:func:`cot_edge_grads`), formed on each call.
-    ``lap_v`` (the Laplacian of ``v``) and ``lam`` are ``None`` without a2.
+    volumes; ``lap_v`` is the Laplacian of ``v``, and ``lam(corner)`` the
+    a2 term's ``(M, ...)`` adjoint of that corner's cotangents
+    (:func:`cot_edge_grads`), formed on each call.  Both terms are always
+    formed; a zero weight multiplies its term by zero.
     """
-    density = a0 * _dot3(u, v) if a0 else np.zeros((len(v),) + v.shape[2:])
-    lap_v = lam = None
-    if a2:
-        lap_v = (geom.lap @ v.reshape(len(v), -1)).reshape(v.shape)
-        lap_u = lap_v if v is u else geom.lap @ u
-        density += a2 * _dot3(lap_u, lap_v)
-        # the adjoints are linear in the vertex volumes, which carry the weight
-        lam = _laplacian_lambda(geom.mesh.faces, a2 * geom.vol, u, lap_u, v, lap_v)
+    lap_v = (geom.lap @ v.reshape(len(v), -1)).reshape(v.shape)
+    lap_u = lap_v if v is u else geom.lap @ u
+    density = a0 * _dot3(u, v)
+    density += a2 * _dot3(lap_u, lap_v)
+    # the adjoints are linear in the vertex volumes, which carry the weight
+    lam = _laplacian_lambda(geom.mesh.faces, a2 * geom.vol, u, lap_u, v, lap_v)
     return density, lap_v, lam
 
 
@@ -354,22 +356,21 @@ def h2_vertex_gradient(geom, u, v, coefficients):
     dv = du if v is u else _field_differential(F, v)
     g_dq, g_area = face_terms(geom, du, dv, coefficients)
     g_vol, _, lam = vertex_terms(geom, u, v, coefficients.a0, coefficients.a2)
-    if lam is not None:
-        g_dq += cot_channel(fr, lam)
+    g_dq += cot_channel(fr, lam)
     # vertex volumes distribute one third of each incident area
     g_area += _vertex_thirds(F, g_vol)
     g_dq += area_edge_grads(fr.dq, fr.n, g_area)
     return scatter_corners(F, edge_corners(g_dq), geom.mesh.n_vertices)
 
 
-def h2_gradient_pairing(geom, fields, df, coefficients):
+def h2_gradient_pairing(geom, fields, df, b, coefficients):
     """The pairings ``K[i, j] = <f_i, grad_q G_q(u, f_j)>`` for ``u = sum_k b_k f_k``.
 
-    ``fields`` is a ``(P, N, 3)`` stack ``f`` and ``df`` its per-face
-    differentials as ``(M, 6, P)`` (``LatentBasis.differentials``); the
-    returned function maps a code ``b`` to the ``(P, P)`` matrix ``K``
-    without a per-field :func:`h2_vertex_gradient`, and reads the
-    differential of ``u`` off ``df``.  That gradient is
+    ``fields`` is a ``(P, N, 3)`` stack ``f``, ``df`` its per-face
+    differentials as ``(M, 6, P)`` (``LatentBasis.differentials``) and ``b``
+    the code; returns the ``(P, P)`` matrix ``K`` without a per-field
+    :func:`h2_vertex_gradient`, and reads the differential of ``u`` off
+    ``df``.  That gradient is
     the scatter of a per-face edge adjoint, so ``K[i, j]`` pairs the adjoint
     for ``f_j`` with the differentials ``df_i`` (6-vectors), summed over the
     faces:
@@ -389,31 +390,27 @@ def h2_gradient_pairing(geom, fields, df, coefficients):
     fr = geom.frames
     M = len(fr)
     P = len(fields)
-    a0, a2 = coefficients.a0, coefficients.a2
     unit = np.broadcast_to(np.eye(6).reshape(6, 1, 3, 2), (6, M, 3, 2))
-    fv = fields.transpose(1, 2, 0)  # (N, 3, P)
 
     # the temporaries are dropped as soon as they are used, so that the pair
     # product holds no more than the blocks and their product with df
-    def pairing(b):
-        g_dq, g_area = face_terms(geom, (df @ b).reshape(M, 3, 2), unit, coefficients)
-        g_dq += area_edge_grads(fr.dq, fr.n, g_area)
-        del g_area
-        out = pair_blocks(df, g_dq.reshape(6, M, 6).transpose(1, 2, 0))  # B_f, (M, 6, 6)
-        del g_dq
-        density, _, lam = vertex_terms(geom, np.tensordot(b, fields, axes=1), fv, a0, a2)
-        darea = area_edge_grads(fr.dq, fr.n, np.ones(M)).reshape(M, 1, 6) @ df
-        out += darea.reshape(M, P).T @ _vertex_thirds(F, density)
-        del density, darea
-        if lam is not None:
-            dcot = cot_edge_grads(fr).reshape(M, 3, 6)
-            for corner in range(3):
-                lam_c = lam(corner)
-                out += (dcot[:, corner, None] @ df).reshape(M, P).T @ lam_c
-                del lam_c
-        return out
-
-    return pairing
+    g_dq, g_area = face_terms(geom, (df @ b).reshape(M, 3, 2), unit, coefficients)
+    g_dq += area_edge_grads(fr.dq, fr.n, g_area)
+    del g_area
+    out = pair_blocks(df, g_dq.reshape(6, M, 6).transpose(1, 2, 0))  # B_f, (M, 6, 6)
+    del g_dq
+    u = np.tensordot(b, fields, axes=1)
+    fv = fields.transpose(1, 2, 0)  # (N, 3, P)
+    density, _, lam = vertex_terms(geom, u, fv, coefficients.a0, coefficients.a2)
+    darea = area_edge_grads(fr.dq, fr.n, np.ones(M)).reshape(M, 1, 6) @ df
+    out += darea.reshape(M, P).T @ _vertex_thirds(F, density)
+    del density, darea
+    dcot = cot_edge_grads(fr).reshape(M, 3, 6)
+    for corner in range(3):
+        lam_c = lam(corner)
+        out += (dcot[:, corner, None] @ df).reshape(M, P).T @ lam_c
+        del lam_c
+    return out
 
 
 def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
@@ -443,7 +440,8 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
     s = 2.0 * area
     u = right_vertices - mesh.vertices
     du = _field_differential(F, u)
-    dr = _field_differential(F, right_vertices)
+    fr_r = face_frames(mesh.with_vertices(right_vertices, validate=False))
+    dr = fr_r.dq
 
     # dr^T dr - dq^T dq = (dq^T du + du^T dq) + du^T du changes by dr^T e + e^T dr
     # along a variation e of dr, and by -(dq^T e + e^T dq) along one of dq
@@ -469,18 +467,15 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
     g_vol, lap_u, lam = vertex_terms(geom_left, u, u, a0, a2)
     value += float(g_vol @ vol)
     grad_r = (2.0 * a0) * vol[:, None] * u
-    if a2:
-        grad_r += (2.0 * a2) * (geom_left.lap @ (vol[:, None] * lap_u))
-        g_dq += cot_channel(fr, lam)
+    grad_r += (2.0 * a2) * (geom_left.lap @ (vol[:, None] * lap_u))
+    g_dq += cot_channel(fr, lam)
 
-    if c1:
-        fr_r = face_frames(mesh.with_vertices(right_vertices, validate=False))
-        dn = fr_r.n - n
-        value += c1 * float(_rowdot(dn, dn) @ area)
-        gn = (2.0 * c1 * area)[:, None] * dn
-        g_dr += normal_edge_grads(dr, fr_r.n, 2.0 * fr_r.area, gn)
-        g_dq += normal_edge_grads(dq, n, s, -gn)
-        g_area += c1 * _rowdot(dn, dn)
+    dn = fr_r.n - n
+    value += c1 * float(_rowdot(dn, dn) @ area)
+    gn = (2.0 * c1 * area)[:, None] * dn
+    g_dr += normal_edge_grads(dr, fr_r.n, 2.0 * fr_r.area, gn)
+    g_dq += normal_edge_grads(dq, n, s, -gn)
+    g_area += c1 * _rowdot(dn, dn)
 
     g_area += _vertex_thirds(F, g_vol)
     g_dq += area_edge_grads(dq, n, g_area)

@@ -117,6 +117,15 @@ def _load_input(path, cfg):
     return mesh, 1.0
 
 
+def _register(basis, path, cfg):
+    """Retrieve the latent path of the scan at ``path``; returns (path codes, report, scale)."""
+    mesh, scale = _load_input(path, cfg)
+    codes, report = retrieve_latent(
+        basis, mesh, cfg.coefficients, cfg.schedule, cfg.time_steps, cfg.optimizer
+    )
+    return codes, report, scale
+
+
 def _write_vector(path, vec):
     np.savetxt(path, np.asarray(vec).reshape(1, -1), fmt="%.17g")
 
@@ -139,10 +148,7 @@ def _report_payload(report):
 def cmd_register(args):
     cfg, out = _setup(args)
     basis = load_basis(cfg.require_basis())
-    target, scale = _load_input(args.target, cfg)
-    path, report = retrieve_latent(
-        basis, target, cfg.coefficients, cfg.schedule, cfg.time_steps, cfg.optimizer
-    )
+    path, report, scale = _register(basis, args.target, cfg)
     _write_vector(out / "code.txt", path[-1])
     np.savetxt(out / "path_codes.txt", path, fmt="%.17g")
     save_mesh(decode(basis, path[-1]), out / "reconstruction.obj")
@@ -195,13 +201,7 @@ def cmd_extrapolate(args):
         log["code"] = str(args.code)
         log["velocity"] = str(args.velocity)
     elif len(args.meshes) == 2:
-        codes = []
-        for path in args.meshes:
-            mesh, _ = _load_input(path, cfg)
-            p, rep = retrieve_latent(
-                basis, mesh, cfg.coefficients, cfg.schedule, cfg.time_steps, cfg.optimizer
-            )
-            codes.append(p[-1])
+        codes = [_register(basis, path, cfg)[0][-1] for path in args.meshes]
         alpha0, beta = codes[0], codes[1] - codes[0]
         log["meshes"] = [str(m) for m in args.meshes]
     else:
@@ -217,20 +217,12 @@ def cmd_extrapolate(args):
 def cmd_transfer(args):
     cfg, out = _setup(args)
     basis = load_basis(cfg.require_basis())
-    target, _ = _load_input(args.target, cfg)
-    target_path, _ = retrieve_latent(
-        basis, target, cfg.coefficients, cfg.schedule, cfg.time_steps, cfg.optimizer
-    )
-    target_code = target_path[-1]
+    target_code = _register(basis, args.target, cfg)[0][-1]
     frame_codes = []
     failures = []
     for idx, frame in enumerate(args.frames):
         try:
-            mesh, _ = _load_input(frame, cfg)
-            p, _rep = retrieve_latent(
-                basis, mesh, cfg.coefficients, cfg.schedule, cfg.time_steps, cfg.optimizer
-            )
-            frame_codes.append(p[-1])
+            frame_codes.append(_register(basis, frame, cfg)[0][-1])
         except (MeshError, SolverFailure, FileNotFoundError) as exc:
             print(f"frame {idx} ({frame}) failed: {exc}", file=sys.stderr)
             failures.append(idx)

@@ -16,6 +16,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .mesh import MeshError, mesh_edges
+from .varifold import varifold_sqdist
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,7 @@ def geodesic_correspondence_error(pred, truth):
     )
     sources = np.unique(snapped)
     dist = dijkstra(graph, directed=False, indices=sources)
-    row = {src: r for src, r in zip(sources, range(len(sources)))}
-    per_vertex = dist[[row[s] for s in snapped], np.arange(n)]
+    per_vertex = dist[np.searchsorted(sources, snapped), np.arange(n)]
     if not np.all(np.isfinite(per_vertex)):
         raise MeshError("truth mesh edge graph is disconnected")
     return float(per_vertex.mean())
@@ -99,8 +99,6 @@ def evaluate_pair(a, b, varifold_config=None, provenance=("", "")):
     """
     values = {"hausdorff": hausdorff(a, b), "chamfer": chamfer(a, b)}
     if varifold_config is not None:
-        from .varifold import varifold_sqdist
-
         values["varifold"] = float(np.sqrt(varifold_sqdist(a, b, varifold_config)))
     if a.same_topology(b):
         values["mse"] = registered_mse(a, b)

@@ -382,19 +382,16 @@ def _check_field(mesh, h):
     return h
 
 
-def cotan_laplacian_apply(mesh, h, laplacian=None):
+def cotan_laplacian_apply(mesh, h):
     """Apply the cotangent Laplacian to a vertex field.
 
     Parameters
     ----------
     h : ndarray, (N, 3)
         Vertex field aligned with the mesh.
-    laplacian : sparse matrix, optional
-        A precomputed matrix from :func:`cotan_laplacian`.
     """
     h = _check_field(mesh, h)
-    L = cotan_laplacian(mesh) if laplacian is None else laplacian
-    return L @ h
+    return cotan_laplacian(mesh) @ h
 
 
 def mesh_edges(mesh):

@@ -12,7 +12,9 @@ The shooting solver (:func:`geodesic_ivp`) advances a discrete geodesic by
 requiring each knot to be the geodesic midpoint of its neighbors: every step
 solves the stationarity system of the two-step energy for the next knot by a
 chord-Newton iteration on that square system, and differentiates the metric
-with the same exact foot-point gradient as the path energy.  A step builds
+with the same exact foot-point gradient as the path energy.  A step carries
+only its discrete momentum ``2 G_k (alpha_{k+1} - alpha_k)`` to the next one,
+which builds its own knot's geometry and Gram.  A step builds
 its Jacobian once and reuses it while its full steps at least halve the
 residual; a reused step that does not is dropped and the Jacobian rebuilt at
 the current iterate, whose step is halved until the residual falls.  A step
@@ -453,7 +455,8 @@ def relaxed_geodesic(basis, q0, q1, time_steps, coefficients, schedule=None, con
 def _shooting_system(basis, geom, g_cur, rhs, coefficients):
     """Residual and Jacobian of one shooting step in ``b = alpha_next - alpha_cur``.
 
-    ``Phi(b) = rhs - 2 G_cur b + D(b, b)`` with ``rhs = 2 G_prev beta0`` is the
+    ``Phi(b) = rhs - 2 G_cur b + D(b, b)``, with the momentum
+    ``rhs = 2 G_prev (alpha_cur - alpha_prev)`` carried from the previous step, is the
     middle-knot gradient of the two-step path energy divided by ``T``; ``D(b, b)`` is
     the foot-point gradient at ``u = b . fields`` on the current knot's geometry
     ``geom``, the only :func:`h2_vertex_gradient` call per iterate.  The Jacobian
@@ -462,7 +465,6 @@ def _shooting_system(basis, geom, g_cur, rhs, coefficients):
     differentials, without a per-field call.
     """
     fields = basis.fields
-    pairing = h2_gradient_pairing(geom, fields, basis.differentials, coefficients)
 
     def residual(b):
         u = np.tensordot(b, fields, axes=1)
@@ -470,7 +472,8 @@ def _shooting_system(basis, geom, g_cur, rhs, coefficients):
         return rhs - 2.0 * (g_cur @ b) + basis.fields_matrix @ grad.ravel()
 
     def jacobian(b):
-        return 2.0 * (pairing(b) - g_cur)
+        k = h2_gradient_pairing(geom, fields, basis.differentials, b, coefficients)
+        return 2.0 * (k - g_cur)
 
     return residual, jacobian
 
@@ -530,7 +533,10 @@ def geodesic_ivp(basis, alpha0, beta, steps, coefficients):
     chord-Newton iterates with exact derivatives of the metric
     (:func:`_midpoint_residual_solve`): one Jacobian per step while its full
     steps at least halve the residual, rebuilt where one does not.  Each step
-    starts from the previous step's offset.
+    starts from the previous step's offset and builds its own knot's
+    geometry and Gram ``G_k``; it hands the next step only its momentum
+    ``2 G_k (alpha_{k+1} - alpha_k)``, so ``N`` steps build ``N`` Grams
+    (knot 0's serves the first momentum only).
 
     Returns the ``(N+1, P)`` path.  Raises :class:`SolverFailure` naming the
     step when its residual stays above ``RESIDUAL_TOLERANCE * P``, and
@@ -554,21 +560,18 @@ def geodesic_ivp(basis, alpha0, beta, steps, coefficients):
     path = np.empty((N + 1, P))
     path[0] = alpha0
     path[1] = alpha0 + beta / N
-    g_prev = knot(0)[1]
-    geom, g_cur = knot(1)
+    rhs = 2.0 * (knot(0)[1] @ (path[1] - path[0]))
     for k in range(1, N):
-        beta0 = path[k] - path[k - 1]
-        rhs = 2.0 * (g_prev @ beta0)
+        geom, g_cur = knot(k)
         residual, jacobian = _shooting_system(basis, geom, g_cur, rhs, coefficients)
+        beta0 = path[k] - path[k - 1]
         bt, rn = _midpoint_residual_solve(residual, jacobian, beta0, g_cur, rhs, tol)
         if not rn <= tol:
             raise SolverFailure(
                 f"shooting residual {rn:.3e} above tolerance {tol:.3e} at step {k}"
             )
         path[k + 1] = path[k] + bt
-        if k < N - 1:
-            g_prev = g_cur
-            geom, g_cur = knot(k + 1)
+        rhs = 2.0 * (g_cur @ (path[k + 1] - path[k]))
     return path
 
 

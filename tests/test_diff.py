@@ -284,3 +284,37 @@ def test_step_energy_zero_at_rest():
     assert value == 0.0
     assert np.max(np.abs(grad_l)) < 1e-12
     assert np.max(np.abs(grad_r)) < 1e-12
+
+
+def _assert_linear_in_weights(fun, coefficients):
+    """``fun(w)`` equals ``sum_i w_i fun(e_i)`` over the six one-hot weight vectors."""
+    full = fun(coefficients)
+    parts = sum(w * fun(e) for w, e in zip(coefficients.as_array(), ONE_HOTS))
+    assert np.max(np.abs(full - parts)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_h2_vertex_gradient_linear_in_the_weights():
+    # a one-hot weight vector runs the full metric's code with five terms
+    # multiplied by zero; the six one-hot gradients must add up to the preset's
+    mesh = syn.bumpy_mesh(35, seed=5, bump=0.05)
+    rng = np.random.default_rng(500)
+    u = 0.3 * rng.standard_normal(mesh.vertices.shape)
+    v = 0.3 * rng.standard_normal(mesh.vertices.shape)
+    geom = _geometry(mesh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for second in (v, u):
+            _assert_linear_in_weights(lambda c: h2_vertex_gradient(geom, u, second, c), BODY)
+
+
+def test_step_energy_linear_in_the_weights():
+    left = syn.bumpy_mesh(35, seed=6, bump=0.05)
+    rng = np.random.default_rng(501)
+    vr = left.vertices + 0.1 * rng.standard_normal(left.vertices.shape)
+    geom = _geometry(left)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for part in range(3):  # the value and the left and right gradients
+            _assert_linear_in_weights(
+                lambda c: np.asarray(step_energy_discrete_with_grads(geom, vr, c)[part]), BODY
+            )

@@ -771,3 +771,43 @@ def test_parametrized_degenerate_start_raises():
 def test_parametrized_topology_mismatch():
     with pytest.raises(MeshError):
         parametrized_geodesic(syn.icosphere(1), syn.icosphere(2), 3, BODY)
+
+
+def test_shooting_jacobian_linear_in_the_weights():
+    # the one-hot weights run the presets' code: their six Jacobians, each
+    # against its own Gram, add up to the preset's
+    basis = syn.random_basis(syn.bumpy_mesh(60), 3, 3, seed=35)
+    rng = np.random.default_rng(36)
+    alpha = 0.3 * rng.standard_normal(basis.dim)
+    geom = _geometry(decode(basis, alpha))
+    b = 0.5 * rng.standard_normal(basis.dim)
+
+    def jacobian(coefficients):
+        g_cur = gram(basis, alpha, coefficients, geometry=geom)
+        _, jac = solvers._shooting_system(basis, geom, g_cur, np.zeros(basis.dim), coefficients)
+        return jac(b)
+
+    one_hots = [MetricCoefficients(*np.eye(6)[k]) for k in range(6)]
+    full = jacobian(BODY)
+    parts = sum(w * jacobian(c) for w, c in zip(BODY.as_array(), one_hots))
+    assert np.max(np.abs(full - parts)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_ivp_builds_one_gram_per_step(monkeypatch):
+    # the step carries its momentum 2 G_k (alpha_{k+1} - alpha_k): knots
+    # 0 .. N-1 each build one Gram, and knot N none
+    basis = syn.random_basis(syn.icosphere(2), 3, 3, seed=5)
+    rng = np.random.default_rng(37)
+    alpha0 = 0.1 * rng.standard_normal(basis.dim)
+    beta = rng.standard_normal(basis.dim)
+    original = solvers.gram
+    codes = []
+
+    def counted(basis, alpha, *args, **kwargs):
+        codes.append(np.array(alpha))
+        return original(basis, alpha, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "gram", counted)
+    path = geodesic_ivp(basis, alpha0, 0.5 * beta / np.linalg.norm(beta), 5, BODY)
+    assert len(codes) == 5
+    assert all(np.array_equal(code, knot) for code, knot in zip(codes, path[:5]))
