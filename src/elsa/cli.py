@@ -274,6 +274,8 @@ def cmd_build_basis(args):
 
 
 def cmd_generate(args):
+    if args.count < 0:
+        raise ValueError(f"--count must be non-negative, got {args.count}")
     cfg, out = _setup(args)
     basis = load_basis(cfg.require_basis())
     if args.model:

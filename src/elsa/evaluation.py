@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from .mesh import MeshError, mesh_edges
@@ -71,6 +70,9 @@ def geodesic_correspondence_error(pred, truth):
     edge lengths) between ``j(i)`` and ``i`` over all vertices.  The edge
     graph approximates intrinsic geodesics from above.
     """
+    # imported here: csgraph is the largest import "import elsa" would add
+    from scipy.sparse.csgraph import dijkstra
+
     if not pred.same_topology(truth):
         raise MeshError("geodesic error requires identical topology")
     snapped = cKDTree(truth.vertices).query(pred.vertices)[1]

@@ -432,6 +432,21 @@ def test_generate_with_model_file(workspace):
     assert len(sorted(out.glob("gen_*.obj"))) == 2
 
 
+def test_generate_negative_count_exit_2(workspace):
+    # rejected before the mixtures are fitted or saved
+    ws = workspace
+    rng = np.random.default_rng(8)
+    vel_file = ws["tmp"] / "vel.txt"
+    np.savetxt(vel_file, 0.1 * rng.standard_normal((8, ws["basis"].dim)), fmt="%.17g")
+    out = ws["tmp"] / "gen_out"
+    code = _run(
+        "generate", "--config", ws["cfg_path"], "--output-dir", out,
+        "--velocities", vel_file, "--count", "-2",
+    )
+    assert code == 2
+    assert not (out / "model.gmm").exists()
+
+
 def test_distance_self_is_zero(workspace, capsys):
     ws = workspace
     assert _run("distance", "--config", ws["cfg_path"], ws["target_path"], ws["target_path"]) == 0

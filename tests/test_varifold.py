@@ -15,7 +15,7 @@ from elsa import (
     varifold_value_and_grad,
 )
 from elsa.mesh import face_samples
-from elsa.varifold import _BLOCK, _pair_pass, _pair_sum
+from elsa.varifold import _BLOCK, _pair_pass
 
 import synthetic as syn
 
@@ -200,22 +200,29 @@ def _dense_pair_pass(sa, sb, sigma):
     return total, gc, gn, ga
 
 
+def _self_pair():
+    mesh = syn.uv_sphere(26, 40)
+    return mesh, mesh
+
+
 @pytest.mark.parametrize("sigma", [0.1, 0.3])
 @pytest.mark.parametrize("meshes", [
     lambda: (syn.icosphere(2), syn.uv_sphere(26, 40)),  # one block of a
     lambda: (syn.icosphere(3), syn.bumpy_mesh(560, seed=16)),  # two blocks of a
+    _self_pair,  # two blocks of a, against itself: a target's <b,b>
 ])
 def test_pair_pass_matches_dense_oracle(meshes, sigma):
     a, b = meshes()
     sa, sb = face_samples(a), face_samples(b)
-    args = (sa.centers, sa.normals, sa.areas, sb.centers, sb.normals, sb.areas, sigma)
-    got = _pair_pass(*args)
+    got = _pair_pass(sa.centers, sa.normals, sa.areas, sb.centers, sb.normals, sb.areas, sigma)
     want = _dense_pair_pass(sa, sb, sigma)
     assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
     for g, w in zip(got[1:], want[1:]):
         assert g.shape == w.shape
         assert np.max(np.abs(g - w)) <= 1e-11 * np.max(np.abs(w))
-    assert _pair_sum(*args) == got[0]
+    if a is b:
+        # the target's value-only pass sums the same products
+        assert VarifoldTarget(a, VarifoldConfig(sigma)).norm_sq == got[0]
 
 
 def test_target_build_holds_at_most_three_blocks():
