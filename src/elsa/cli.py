@@ -7,12 +7,14 @@ effective configuration into the output directory, and is deterministic
 given config and seed (no timestamps in any output).
 
 Exit codes: 0 success, 1 numerical failure (a failed solve or shot, a
-degenerate mesh), 2 usage, input or file error.
+degenerate mesh), 2 usage, input or file error, including a config error
+(an unknown section or key, a malformed INI, an unreadable file).
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import json
 import sys
@@ -145,24 +147,21 @@ def _report_payload(report):
     }
 
 
-def cmd_register(args):
-    cfg, out = _setup(args)
+def cmd_register(args, cfg, out):
     basis = load_basis(cfg.require_basis())
     path, report, scale = _register(basis, args.target, cfg)
     _write_vector(out / "code.txt", path[-1])
     np.savetxt(out / "path_codes.txt", path, fmt="%.17g")
     save_mesh(decode(basis, path[-1]), out / "reconstruction.obj")
     print(f"final varifold sq-distance: {report.details['varifold_sqdist']:.6e}")
-    _finish(cfg, out, "register", {
+    return 0, {
         "target": str(args.target),
         "input_scale": scale,
         "report": _report_payload(report),
-    })
-    return 0
+    }
 
 
-def cmd_interpolate(args):
-    cfg, out = _setup(args)
+def cmd_interpolate(args, cfg, out):
     basis = load_basis(cfg.require_basis())
     source, s0 = _load_input(args.source, cfg)
     target, s1 = _load_input(args.target, cfg)
@@ -182,17 +181,15 @@ def cmd_interpolate(args):
         writer.writerow(["total", repr(report.details["path_energy"])])
         writer.writerow(["gamma0", repr(report.details["gamma0"])])
         writer.writerow(["gamma1", repr(report.details["gamma1"])])
-    _finish(cfg, out, "interpolate", {
+    return 0, {
         "source": str(args.source),
         "target": str(args.target),
         "input_scales": [s0, s1],
         "report": _report_payload(report),
-    })
-    return 0
+    }
 
 
-def cmd_extrapolate(args):
-    cfg, out = _setup(args)
+def cmd_extrapolate(args, cfg, out):
     basis = load_basis(cfg.require_basis())
     log = {}
     if args.code and args.velocity:
@@ -210,12 +207,10 @@ def cmd_extrapolate(args):
     for k, code in enumerate(path):
         save_mesh(decode(basis, code), out / f"extrap_{k:03d}.obj")
     np.savetxt(out / "path_codes.txt", path, fmt="%.17g")
-    _finish(cfg, out, "extrapolate", {**log, "steps": cfg.ivp_steps})
-    return 0
+    return 0, {**log, "steps": cfg.ivp_steps}
 
 
-def cmd_transfer(args):
-    cfg, out = _setup(args)
+def cmd_transfer(args, cfg, out):
     basis = load_basis(cfg.require_basis())
     target_code = _register(basis, args.target, cfg)[0][-1]
     frame_codes = []
@@ -236,16 +231,14 @@ def cmd_transfer(args):
         _write_vector(out / "target_code.txt", target_code)
         for k, code in enumerate(transferred):
             save_mesh(decode(basis, code), out / f"transfer_{k:03d}.obj")
-    _finish(cfg, out, "transfer", {
+    return 1 if failures else 0, {
         "target": str(args.target),
         "frames": [str(f) for f in args.frames],
         "failed_frames": failures,
-    })
-    return 1 if failures else 0
+    }
 
 
-def cmd_build_basis(args):
-    cfg, out = _setup(args)
+def cmd_build_basis(args, cfg, out):
     scale = None
     if cfg.normalize:
         records = read_manifest(args.manifest)
@@ -262,21 +255,19 @@ def cmd_build_basis(args):
     basis_path = out / "basis.lsb"
     save_basis(basis, basis_path)
     cfg.basis_path = str(basis_path)
-    _finish(cfg, out, "build-basis", {
+    return 0, {
         "manifest": str(args.manifest),
         "template_scale": scale if scale is not None else 1.0,
         "dim": basis.dim,
         "n_shape": basis.n_shape,
         "n_pose": basis.n_pose,
         "basis": str(basis_path),
-    })
-    return 0
+    }
 
 
-def cmd_generate(args):
+def cmd_generate(args, cfg, out):
     if args.count < 0:
         raise ValueError(f"--count must be non-negative, got {args.count}")
-    cfg, out = _setup(args)
     basis = load_basis(cfg.require_basis())
     if args.model:
         shape_gmm, pose_gmm = load_gmm(args.model)
@@ -301,26 +292,22 @@ def cmd_generate(args):
     for i, seed in enumerate(seeds):
         mesh = generate_shape(basis, shape_gmm, pose_gmm, cfg.ivp_steps, cfg.coefficients, seed)
         save_mesh(mesh, out / f"gen_{i:03d}.obj")
-    _finish(cfg, out, "generate", {
+    return 0, {
         "count": args.count,
         "seeds": seeds,
         "model": model_path,
-    })
-    return 0
+    }
 
 
-def cmd_distance(args):
-    cfg, out = _setup(args)
+def cmd_distance(args, cfg, out):
     a, _ = _load_input(args.a, cfg)
     b, _ = _load_input(args.b, cfg)
     value = float(np.sqrt(varifold_sqdist(a, b, VarifoldConfig(cfg.sigma))))
     print(repr(value))
-    _finish(cfg, out, "distance", {"a": str(args.a), "b": str(args.b), "distance": value})
-    return 0
+    return 0, {"a": str(args.a), "b": str(args.b), "distance": value}
 
 
-def cmd_evaluate(args):
-    cfg, out = _setup(args)
+def cmd_evaluate(args, cfg, out):
     pairs = []
     if args.pairs_file:
         with open(args.pairs_file, newline="") as fh:
@@ -352,17 +339,20 @@ def cmd_evaluate(args):
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
-    _finish(cfg, out, "evaluate", {"pairs": [list(p) for p in pairs]})
-    return 0
+    return 0, {"pairs": [list(p) for p in pairs]}
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (MeshParseError, FileNotFoundError, NotADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        cfg, out = _setup(args)
+        code, log = args.func(args, cfg, out)
+        _finish(cfg, out, args.command, log)
+        return code
+    except (MeshParseError, OSError, configparser.Error) as exc:
+        # configparser's messages span lines
+        print("error:", " ".join(str(exc).split("\n")), file=sys.stderr)
         return 2
     # before ValueError, which both DegenerateFaceError and LinAlgError subclass
     except (SolverFailure, DegenerateFaceError, ArithmeticError, np.linalg.LinAlgError) as exc:

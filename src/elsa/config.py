@@ -3,12 +3,16 @@
 The shipped presets mirror the body/face defaults (metric weights, kernel
 scale schedules, block sizes).  ``save_config`` writes the effective
 configuration next to a run's outputs so the run can be reproduced from it.
+
+``_LAYOUT`` is the INI layout: :func:`load_config` and :func:`save_config`
+both read it, and a section or key outside it is rejected, so a misspelled
+key cannot become a setting that does nothing.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .metric import MetricCoefficients
@@ -42,63 +46,79 @@ class RunConfig:
         return path
 
 
+#: section -> key -> RunConfig attribute, in file order; a dotted attribute
+#: names a field of a nested frozen setting, and a value's type is its
+#: default's.  The keys mapped to None (the schedule's two lists and the basis
+#: path) are read and written by hand.
+_LAYOUT = {
+    "mesh": {"normalize": "normalize"},
+    "metric": {key: f"coefficients.{key}" for key in ("a0", "a1", "b1", "c1", "d1", "a2")},
+    "varifold": {"sigma": "sigma"},
+    "schedule": {"sigmas": None, "lambdas": None},
+    "solver": {
+        "time_steps": "time_steps",
+        "ivp_steps": "ivp_steps",
+        **{key: f"optimizer.{key}" for key in ("max_iterations", "gradient_tolerance", "memory")},
+    },
+    "latent": {"basis": None, "n_shape": "n_shape", "n_pose": "n_pose"},
+    "generation": {key: key for key in ("shape_components", "pose_components", "em_iterations")},
+    "run": {"seed": "seed", "output_dir": "output_dir"},
+}
+
+
+def _lookup(obj, attr):
+    for name in attr.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def _format(value):
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def _floats(text):
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
 def load_config(path):
-    """Read a RunConfig from an INI file; missing keys keep their defaults."""
-    parser = configparser.ConfigParser()
+    """Read a RunConfig from an INI file; missing keys keep their defaults.
+
+    A section or key outside ``_LAYOUT`` raises ``ValueError``.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     with open(path) as fh:
         parser.read_file(fh)
+    # [DEFAULT] first: configparser copies its keys into every other section
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
+            if key not in _LAYOUT.get(section, ()):
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
+        if section not in _LAYOUT and section != parser.default_section:
+            raise ValueError(f"{path}: unknown section [{section}]")
     cfg = RunConfig()
-    base = Path(path).parent
-
-    if parser.has_section("metric"):
-        m = parser["metric"]
-        cfg.coefficients = MetricCoefficients(
-            **{f.name: m.getfloat(f.name, getattr(cfg.coefficients, f.name))
-               for f in fields(MetricCoefficients)}
-        )
-    if parser.has_section("varifold"):
-        cfg.sigma = parser["varifold"].getfloat("sigma", cfg.sigma)
-    if parser.has_section("schedule"):
-        s = parser["schedule"]
-        sigmas = _floats(s.get("sigmas", ""))
-        lambdas = _floats(s.get("lambdas", ""))
-        if len(sigmas) != len(lambdas):
-            raise ValueError(f"{path}: schedule sigmas and lambdas differ in length")
-        if sigmas:
-            cfg.schedule = MultiscaleSchedule(stages=tuple(zip(sigmas, lambdas)))
-    if parser.has_section("solver"):
-        s = parser["solver"]
-        cfg.time_steps = s.getint("time_steps", cfg.time_steps)
-        cfg.ivp_steps = s.getint("ivp_steps", cfg.ivp_steps)
-        opt = cfg.optimizer
-        cfg.optimizer = OptimizerConfig(
-            max_iterations=s.getint("max_iterations", opt.max_iterations),
-            gradient_tolerance=s.getfloat("gradient_tolerance", opt.gradient_tolerance),
-            memory=s.getint("memory", opt.memory),
-        )
-    if parser.has_section("latent"):
-        s = parser["latent"]
-        raw = s.get("basis", "")
-        if raw and not Path(raw).is_absolute():
-            raw = str(base / raw)
-        cfg.basis_path = raw
-        cfg.n_shape = s.getint("n_shape", cfg.n_shape)
-        cfg.n_pose = s.getint("n_pose", cfg.n_pose)
-    if parser.has_section("generation"):
-        s = parser["generation"]
-        cfg.shape_components = s.getint("shape_components", cfg.shape_components)
-        cfg.pose_components = s.getint("pose_components", cfg.pose_components)
-        cfg.em_iterations = s.getint("em_iterations", cfg.em_iterations)
-    if parser.has_section("mesh"):
-        cfg.normalize = parser["mesh"].getboolean("normalize", cfg.normalize)
-    if parser.has_section("run"):
-        s = parser["run"]
-        cfg.seed = s.getint("seed", cfg.seed)
-        cfg.output_dir = s.get("output_dir", cfg.output_dir)
+    for section, keys in _LAYOUT.items():
+        for key, attr in keys.items():
+            if attr is None or not parser.has_option(section, key):
+                continue
+            default = _lookup(cfg, attr)
+            try:
+                value = (parser.getboolean(section, key) if isinstance(default, bool)
+                         else type(default)(parser.get(section, key)))
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
+            owner, _, name = attr.rpartition(".")
+            if owner:
+                setattr(cfg, owner, replace(getattr(cfg, owner), **{name: value}))
+            else:
+                setattr(cfg, attr, value)
+    sigmas = _floats(parser.get("schedule", "sigmas", fallback=""))
+    lambdas = _floats(parser.get("schedule", "lambdas", fallback=""))
+    if len(sigmas) != len(lambdas):
+        raise ValueError(f"{path}: schedule sigmas and lambdas differ in length")
+    if sigmas:
+        cfg.schedule = MultiscaleSchedule(stages=tuple(zip(sigmas, lambdas)))
+    raw = parser.get("latent", "basis", fallback="")
+    cfg.basis_path = str(Path(path).parent / raw) if raw else ""
     return cfg
 
 
@@ -108,39 +128,16 @@ def save_config(cfg, path):
     The basis path is written absolute, since :func:`load_config` reads a
     relative one against the directory of the INI file it reads.
     """
-    parser = configparser.ConfigParser()
-    c = cfg.coefficients
-    parser["mesh"] = {"normalize": str(cfg.normalize).lower()}
-    parser["metric"] = {
-        "a0": repr(c.a0), "a1": repr(c.a1), "b1": repr(c.b1),
-        "c1": repr(c.c1), "d1": repr(c.d1), "a2": repr(c.a2),
-    }
-    parser["varifold"] = {"sigma": repr(cfg.sigma)}
-    parser["schedule"] = {
+    by_hand = {
         "sigmas": ", ".join(repr(s) for s, _ in cfg.schedule.stages),
         "lambdas": ", ".join(repr(l) for _, l in cfg.schedule.stages),
-    }
-    parser["solver"] = {
-        "time_steps": str(cfg.time_steps),
-        "ivp_steps": str(cfg.ivp_steps),
-        "max_iterations": str(cfg.optimizer.max_iterations),
-        "gradient_tolerance": repr(cfg.optimizer.gradient_tolerance),
-        "memory": str(cfg.optimizer.memory),
-    }
-    parser["latent"] = {
         "basis": str(Path(cfg.basis_path).absolute()) if cfg.basis_path else "",
-        "n_shape": str(cfg.n_shape),
-        "n_pose": str(cfg.n_pose),
     }
-    parser["generation"] = {
-        "shape_components": str(cfg.shape_components),
-        "pose_components": str(cfg.pose_components),
-        "em_iterations": str(cfg.em_iterations),
-    }
-    parser["run"] = {
-        "seed": str(cfg.seed),
-        "output_dir": cfg.output_dir,
-    }
+    parser = configparser.ConfigParser(interpolation=None)
+    for section, keys in _LAYOUT.items():
+        parser[section] = {
+            key: by_hand[key] if attr is None else _format(_lookup(cfg, attr))
+            for key, attr in keys.items()
+        }
     with open(path, "w") as fh:
         parser.write(fh)
-

@@ -36,22 +36,24 @@ def _check_nonempty(mesh):
         raise MeshError("empty mesh")
 
 
-def hausdorff(a, b):
-    """Symmetric Hausdorff distance between the two vertex sets."""
+def _vertex_set_metrics(a, b):
+    """Hausdorff and Chamfer distances off one nearest-vertex query each way."""
     _check_nonempty(a)
     _check_nonempty(b)
     d_ab = cKDTree(b.vertices).query(a.vertices)[0]
     d_ba = cKDTree(a.vertices).query(b.vertices)[0]
-    return float(max(d_ab.max(), d_ba.max()))
+    return {"hausdorff": float(max(d_ab.max(), d_ba.max())),
+            "chamfer": float(d_ab.mean() + d_ba.mean())}
+
+
+def hausdorff(a, b):
+    """Symmetric Hausdorff distance between the two vertex sets."""
+    return _vertex_set_metrics(a, b)["hausdorff"]
 
 
 def chamfer(a, b):
     """Sum of the two mean nearest-neighbor vertex distances (not squared)."""
-    _check_nonempty(a)
-    _check_nonempty(b)
-    d_ab = cKDTree(b.vertices).query(a.vertices)[0]
-    d_ba = cKDTree(a.vertices).query(b.vertices)[0]
-    return float(d_ab.mean() + d_ba.mean())
+    return _vertex_set_metrics(a, b)["chamfer"]
 
 
 def registered_mse(a, b):
@@ -99,7 +101,7 @@ def evaluate_pair(a, b, varifold_config=None, provenance=("", "")):
     Registered metrics are included only when the topologies match; the
     varifold distance is included when a kernel configuration is given.
     """
-    values = {"hausdorff": hausdorff(a, b), "chamfer": chamfer(a, b)}
+    values = _vertex_set_metrics(a, b)
     if varifold_config is not None:
         values["varifold"] = float(np.sqrt(varifold_sqdist(a, b, varifold_config)))
     if a.same_topology(b):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -84,6 +85,63 @@ def test_config_round_trip(tmp_path):
     assert back.time_steps == 7
     assert back.schedule.stages == cfg.schedule.stages
     assert back.coefficients == cfg.coefficients
+
+    # every field away from its default comes back equal
+    from elsa import MultiscaleSchedule
+
+    full = RunConfig(
+        coefficients=MetricCoefficients(2.0, 3.5, 0.25, 4.0, 5.0, 0.125),
+        sigma=0.0625,
+        schedule=MultiscaleSchedule(stages=((0.3, 1e3), (0.15, 1e5))),
+        time_steps=4,
+        ivp_steps=6,
+        optimizer=OptimizerConfig(max_iterations=77, gradient_tolerance=3e-5, memory=4),
+        basis_path=str((tmp_path / "basis.lsb").resolve()),
+        n_shape=3,
+        n_pose=5,
+        shape_components=2,
+        pose_components=3,
+        em_iterations=17,
+        normalize=False,
+        seed=11,
+        output_dir=str(tmp_path / "elsewhere"),
+    )
+    defaults = RunConfig()
+    for f in dataclasses.fields(RunConfig):
+        assert getattr(full, f.name) != getattr(defaults, f.name), f.name
+    save_config(full, path)
+    assert load_config(path) == full
+
+
+def test_config_round_trip_keeps_percent_signs(tmp_path):
+    # the INI is read without interpolation: "%" is an ordinary character
+    cfg = RunConfig()
+    cfg.basis_path = str((tmp_path / "my%basis.lsb").resolve())
+    cfg.output_dir = "o%1"
+    path = tmp_path / "c.ini"
+    save_config(cfg, path)
+    assert load_config(path) == cfg
+    path.write_text("[latent]\nbasis = my%basis.lsb\n")
+    assert Path(load_config(path).basis_path) == tmp_path / "my%basis.lsb"
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[solver]\nmax_iteration = 3\n", "'max_iteration'"),  # misspelled key
+        ("[solvers]\nmax_iterations = 3\n", "'max_iterations'"),  # unknown section
+        ("[DEFAULT]\nseed = 3\n\n[run]\noutput_dir = out\n", "'seed'"),
+        ("[solver]\ntime_steps = 3\n\n[extras]\n", "[extras]"),  # empty unknown section
+    ],
+    ids=["misspelled_key", "unknown_section", "default_key", "empty_unknown_section"],
+)
+def test_unknown_config_setting_exit_2(workspace, capsys, text, named):
+    ws = workspace
+    path = ws["tmp"] / "strict.ini"
+    path.write_text(text)
+    assert _run("distance", "--config", path, ws["target_path"], ws["target_path"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ") and named in err[0], err
 
 
 def test_saved_config_finds_the_basis_it_was_loaded_with(tmp_path, monkeypatch):
@@ -190,6 +248,35 @@ def test_truncated_containers_exit_2(workspace, capsys):
     bad_obj.write_text(ws["target_path"].read_text().replace("v ", "v 1 abc 0\nv ", 1))
     assert _run("distance", "--config", ws["cfg_path"], ws["target_path"], bad_obj) == 2
     one_error_line(":1: malformed vertex line")
+
+
+@pytest.mark.parametrize("case", ["config_is_dir", "basis_is_dir", "no_section", "duplicate_key"])
+def test_unreadable_config_exit_2(workspace, capsys, case):
+    # one "error:" line and exit 2, not a traceback
+    ws = workspace
+    path = ws["tmp"] / "input.ini"
+    if case == "config_is_dir":
+        path = ws["tmp"]
+    elif case == "basis_is_dir":
+        path.write_text(f"[latent]\nbasis = {ws['tmp']}\n")
+    elif case == "no_section":
+        path.write_text("basis = x\n")
+    else:
+        path.write_text("[solver]\ntime_steps = 3\ntime_steps = 4\n")
+    capsys.readouterr()
+    assert _run("register", "--config", path, "--output-dir", ws["tmp"] / "o",
+                ws["target_path"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_percent_in_output_dir_writes_run_record(workspace, capsys):
+    ws = workspace
+    out = ws["tmp"] / "o%1"
+    assert _run("distance", "--config", ws["cfg_path"], "--output-dir", out,
+                ws["target_path"], ws["target_path"]) == 0
+    assert json.loads((out / "run_log.json").read_text())["distance"] == 0.0
+    assert load_config(out / "effective_config.ini").output_dir == str(out)
 
 
 def test_register_missing_target_exit_2(workspace):
