@@ -218,7 +218,7 @@ def cmd_transfer(args, cfg, out):
     for idx, frame in enumerate(args.frames):
         try:
             frame_codes.append(_register(basis, frame, cfg)[0][-1])
-        except (MeshError, SolverFailure, FileNotFoundError) as exc:
+        except (MeshError, SolverFailure, OSError) as exc:
             print(f"frame {idx} ({frame}) failed: {exc}", file=sys.stderr)
             failures.append(idx)
             frame_codes.append(None)

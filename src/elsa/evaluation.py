@@ -37,23 +37,24 @@ def _check_nonempty(mesh):
 
 
 def _vertex_set_metrics(a, b):
-    """Hausdorff and Chamfer distances off one nearest-vertex query each way."""
+    """Hausdorff and Chamfer distances off one nearest-vertex query each way,
+    and the index of the nearest vertex of ``b`` to each vertex of ``a``."""
     _check_nonempty(a)
     _check_nonempty(b)
-    d_ab = cKDTree(b.vertices).query(a.vertices)[0]
+    d_ab, nearest = cKDTree(b.vertices).query(a.vertices)
     d_ba = cKDTree(a.vertices).query(b.vertices)[0]
     return {"hausdorff": float(max(d_ab.max(), d_ba.max())),
-            "chamfer": float(d_ab.mean() + d_ba.mean())}
+            "chamfer": float(d_ab.mean() + d_ba.mean())}, nearest
 
 
 def hausdorff(a, b):
     """Symmetric Hausdorff distance between the two vertex sets."""
-    return _vertex_set_metrics(a, b)["hausdorff"]
+    return _vertex_set_metrics(a, b)[0]["hausdorff"]
 
 
 def chamfer(a, b):
     """Sum of the two mean nearest-neighbor vertex distances (not squared)."""
-    return _vertex_set_metrics(a, b)["chamfer"]
+    return _vertex_set_metrics(a, b)[0]["chamfer"]
 
 
 def registered_mse(a, b):
@@ -72,12 +73,16 @@ def geodesic_correspondence_error(pred, truth):
     edge lengths) between ``j(i)`` and ``i`` over all vertices.  The edge
     graph approximates intrinsic geodesics from above.
     """
+    if not pred.same_topology(truth):
+        raise MeshError("geodesic error requires identical topology")
+    return _geodesic_error(truth, cKDTree(truth.vertices).query(pred.vertices)[1])
+
+
+def _geodesic_error(truth, snapped):
+    """:func:`geodesic_correspondence_error` with vertex ``i`` snapped to ``snapped[i]``."""
     # imported here: csgraph is the largest import "import elsa" would add
     from scipy.sparse.csgraph import dijkstra
 
-    if not pred.same_topology(truth):
-        raise MeshError("geodesic error requires identical topology")
-    snapped = cKDTree(truth.vertices).query(pred.vertices)[1]
     edges = mesh_edges(truth)
     lengths = np.linalg.norm(truth.vertices[edges[:, 0]] - truth.vertices[edges[:, 1]], axis=1)
     n = truth.n_vertices
@@ -101,10 +106,10 @@ def evaluate_pair(a, b, varifold_config=None, provenance=("", "")):
     Registered metrics are included only when the topologies match; the
     varifold distance is included when a kernel configuration is given.
     """
-    values = _vertex_set_metrics(a, b)
+    values, nearest = _vertex_set_metrics(a, b)
     if varifold_config is not None:
         values["varifold"] = float(np.sqrt(varifold_sqdist(a, b, varifold_config)))
     if a.same_topology(b):
         values["mse"] = registered_mse(a, b)
-        values["geodesic_error"] = geodesic_correspondence_error(a, b)
+        values["geodesic_error"] = _geodesic_error(b, nearest)
     return EvalReport(values=values, provenance=tuple(provenance))

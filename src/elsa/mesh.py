@@ -18,7 +18,8 @@ Conventions used throughout the package:
 * the mesh Laplacian uses the cotangent formula,
   ``(L h)_i = sum_j (cot a_ij + cot b_ij) (h_i - h_j)``, with boundary edges
   contributing their single available cotangent and no clamping of negative
-  cotangents.
+  cotangents.  Its CSR pattern is built once per template face array,
+  vertex count and copy count; a disjoint union of copies tiles it.
 
 PLY files are read in ASCII or binary little-endian (not big-endian), with
 values of each property's declared type.  The vertex element needs scalar
@@ -30,6 +31,7 @@ properties are scalar; a list property anywhere else raises.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from itertools import islice
@@ -295,59 +297,35 @@ _OPPOSITE = ((1, 2), (2, 0), (0, 1))
 _ENTRY_SIGNS = np.array([-1.0, -1.0, 1.0, 1.0])
 
 
-@dataclass(frozen=True, eq=False)
-class _LaplacianPattern:
-    """CSR structure of the cotangent Laplacian of one face array.
-
-    ``slots`` maps the ``12 M`` corner entries, laid out as
-    ``(entry, face, corner)`` in the order of ``_ENTRY_SIGNS``, to their CSR
-    positions, so one ``np.bincount`` sums the cotangents into the values.
-    """
-
-    faces: np.ndarray
-    n_vertices: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: np.ndarray
-
-    @classmethod
-    def build(cls, faces, n):
-        i = faces[:, [a for a, _ in _OPPOSITE]]  # (M, 3), one edge per corner
-        j = faces[:, [b for _, b in _OPPOSITE]]
-        # row-major keys row * n + column of the entries
-        keys = np.stack([i * n + j, j * n + i, i * (n + 1), j * (n + 1)]).ravel()
-        keys, slots = np.unique(keys, return_inverse=True)
-        index = np.int32 if max(n, len(keys)) < 2**31 else np.int64
-        indptr = np.zeros(n + 1, dtype=index)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        return cls(faces, n, indptr, (keys % n).astype(index), slots.astype(np.intp, copy=False))
-
-    def matches(self, faces, n):
-        return self.n_vertices == n and (
-            self.faces is faces
-            or self.faces.shape == faces.shape and bool(np.array_equal(self.faces, faces))
-        )
-
-
-#: how many face arrays keep their Laplacian pattern, most recently used first
+#: how many (template, vertex count, copy count) keys keep their Laplacian pattern
 _PATTERN_CACHE_SIZE = 4
-_patterns = []
 
 
-def _laplacian_pattern(faces, n):
-    """The cached :class:`_LaplacianPattern` of ``faces`` on ``n`` vertices.
+@functools.lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _laplacian_pattern(face_bytes, n, copies):
+    """CSR ``(indptr, indices, slots)`` of the Laplacian of ``copies`` copies of one template.
 
-    ``faces`` must not change after the call (a mesh's face array is
-    read-only); an array equal to a cached one reuses its pattern.
+    ``face_bytes`` holds the template's int64 faces on ``n`` vertices.
+    ``slots`` maps the ``12 K M`` corner entries, laid out as
+    ``(entry, face, corner)`` in the order of ``_ENTRY_SIGNS``, to their CSR
+    positions.  Only the template's ``12 M`` keys are sorted; copy ``k``
+    tiles its pattern, shifted by ``k n`` vertices and ``k nnz`` entries.
     """
-    for pattern in _patterns:
-        if pattern.matches(faces, n):
-            _patterns.remove(pattern)
-            break
-    else:
-        pattern = _LaplacianPattern.build(faces, n)
-    _patterns.insert(0, pattern)
-    del _patterns[_PATTERN_CACHE_SIZE:]
+    faces = np.frombuffer(face_bytes, dtype=np.int64).reshape(-1, 3)
+    i = faces[:, [a for a, _ in _OPPOSITE]]  # (M, 3), one edge per corner
+    j = faces[:, [b for _, b in _OPPOSITE]]
+    # row-major keys row * n + column of the entries
+    keys = np.stack([i * n + j, j * n + i, i * (n + 1), j * (n + 1)]).ravel()
+    keys, slots = np.unique(keys, return_inverse=True)
+    nnz = len(keys)
+    index = np.int32 if copies * max(n, nnz) < 2**31 else np.int64
+    indptr = np.zeros(copies * n + 1, dtype=index)
+    np.cumsum(np.tile(np.bincount(keys // n, minlength=n), copies), out=indptr[1:])
+    copy = np.arange(copies)[:, None]
+    indices = (keys % n + n * copy).astype(index).ravel()
+    pattern = indptr, indices, (slots.reshape(4, 1, -1) + nnz * copy).ravel()
+    for array in pattern:  # shared by every caller and every matrix built on it
+        array.setflags(write=False)
     return pattern
 
 
@@ -360,18 +338,24 @@ def cotan_laplacian(mesh, frames=None):
     default :func:`face_frames` of the mesh.
 
     The CSR pattern (row pointers, sorted column indices and the slot of
-    each corner entry) is built once per face array and vertex count and
-    kept for the last few face arrays; each call only sums the cotangents
-    into the values, in face order.  Off-diagonal entries hold at most two
-    terms, so they equal a COO assembly exactly; diagonal sums of more
-    terms may differ from one in the last bits.
+    each corner entry) is built once per template face array, vertex count
+    and copy count, and kept for the last few; a union of template copies
+    (:func:`metric._union_geometry`) tiles the template's.  Each call only
+    sums the cotangents into the values, in face order.  Off-diagonal
+    entries hold at most two terms, so they equal a COO assembly exactly;
+    diagonal sums of more terms may differ from one in the last bits.
     """
+    return _union_laplacian(mesh, face_frames(mesh) if frames is None else frames, 1)
+
+
+def _union_laplacian(mesh, frames, copies):
+    """:func:`cotan_laplacian` of ``mesh``, a union of ``copies`` copies of its first faces."""
     n = mesh.n_vertices
-    pattern = _laplacian_pattern(mesh.faces, n)
-    cots = face_cotangents(face_frames(mesh) if frames is None else frames)
-    weights = np.multiply.outer(_ENTRY_SIGNS, cots).ravel()
-    data = np.bincount(pattern.slots, weights=weights, minlength=len(pattern.indices))
-    return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+    template = mesh.faces[: mesh.n_faces // copies]
+    indptr, indices, slots = _laplacian_pattern(template.tobytes(), n // copies, copies)
+    weights = np.multiply.outer(_ENTRY_SIGNS, face_cotangents(frames)).ravel()
+    data = np.bincount(slots, weights=weights, minlength=len(indices))
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _check_field(mesh, h):

@@ -41,7 +41,7 @@ from .mesh import (
     MeshError,
     TriangleMesh,
     _check_field,
-    cotan_laplacian,
+    _union_laplacian,
     cross,
     face_frames,
     vertex_volumes,
@@ -147,14 +147,15 @@ def _inverse_2x2(g):
     return inv
 
 
-def _geometry(mesh):
+def _geometry(mesh, copies=1):
+    """The metric's quantities on ``mesh``, a union of ``copies`` copies of one template."""
     frames = face_frames(mesh)
     return _MeshGeometry(
         mesh=mesh,
         frames=frames,
         ginv=_inverse_2x2(frames.g),
         vol=vertex_volumes(mesh, areas=frames.area),
-        lap=cotan_laplacian(mesh, frames),
+        lap=_union_laplacian(mesh, frames, copies),
     )
 
 
@@ -187,7 +188,7 @@ def _union_geometry(knots, faces, first_knot=0):
         raise MeshError("non-finite vertex coordinates")
     union_faces = (faces + N * np.arange(K)[:, None, None]).reshape(-1, 3)
     try:
-        return _geometry(TriangleMesh(knots.reshape(-1, 3), union_faces, validate=False))
+        return _geometry(TriangleMesh(knots.reshape(-1, 3), union_faces, validate=False), K)
     except DegenerateFaceError as exc:
         raise _name_knot(exc, len(faces), first_knot) from exc
 

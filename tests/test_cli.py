@@ -442,6 +442,23 @@ def test_transfer_reports_bad_frame(workspace):
     assert len(sorted(out.glob("transfer_*.obj"))) == 1
 
 
+def test_transfer_skips_unreadable_frame(workspace, capsys):
+    # a frame that cannot be read (here a directory) fails alone, as a missing one does
+    ws = workspace
+    folder = ws["tmp"] / "folder.obj"
+    folder.mkdir()
+    out = ws["tmp"] / "transfer_unreadable"
+    code = _run(
+        "transfer", "--config", ws["cfg_path"], "--output-dir", out,
+        "--target", ws["target_path"], ws["target_path"], folder, ws["tmp"] / "missing.obj",
+    )
+    assert code == 1
+    assert "frame 1" in capsys.readouterr().err
+    log = json.loads((out / "run_log.json").read_text())
+    assert log["failed_frames"] == [1, 2]
+    assert len(sorted(out.glob("transfer_*.obj"))) == 1
+
+
 def test_build_basis_and_generate_deterministic(tmp_path):
     template = syn.icosphere(1)
     lines = []

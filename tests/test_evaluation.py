@@ -151,3 +151,24 @@ def test_evaluate_pair_contents():
     different = syn.icosphere(2)
     report2 = evaluate_pair(mesh, different)
     assert set(report2.values) == {"hausdorff", "chamfer"}
+
+
+def test_evaluate_pair_builds_two_kd_trees(monkeypatch):
+    # the geodesic error snaps through the a -> b query of the set metrics
+    import elsa.evaluation
+
+    built = []
+
+    class Counted(elsa.evaluation.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(elsa.evaluation, "cKDTree", Counted)
+    mesh = syn.bumpy_mesh(40, seed=2)
+    other = mesh.with_vertices(mesh.vertices[::-1])
+    report = evaluate_pair(mesh, other)
+    assert len(built) == 2
+    assert report.values["geodesic_error"] == geodesic_correspondence_error(mesh, other)
+    assert report.values["hausdorff"] == hausdorff(mesh, other)
+    assert report.values["chamfer"] == chamfer(mesh, other)

@@ -30,6 +30,7 @@ from elsa.mesh import (
     mesh_edges,
     scatter_corners,
 )
+from elsa.metric import _union_geometry
 
 import synthetic as syn
 
@@ -553,10 +554,39 @@ def test_laplacian_pattern_not_served_to_another_face_array():
     # an equal copy of a face array reuses its pattern; the cache stays bounded
     pattern = elsa.mesh._laplacian_pattern
     n = mesh.n_vertices
-    assert pattern(mesh.faces.copy(), n) is pattern(mesh.faces, n)
+    assert pattern(mesh.faces.copy().tobytes(), n, 1) is pattern(mesh.faces.tobytes(), n, 1)
     for k in range(2 * elsa.mesh._PATTERN_CACHE_SIZE):
         cotan_laplacian(syn.grid_mesh(3 + k, 3))
-    assert len(elsa.mesh._patterns) == elsa.mesh._PATTERN_CACHE_SIZE
+    assert pattern.cache_info().currsize == elsa.mesh._PATTERN_CACHE_SIZE
+
+
+def _knots(mesh, copies, seed=0):
+    scale = 1.0 + 0.05 * np.random.default_rng(seed).standard_normal((copies, 1, 1))
+    return scale * mesh.vertices
+
+
+@pytest.mark.parametrize("copies", [1, 3])
+@pytest.mark.parametrize("kind", ["closed", "open"])
+def test_union_laplacian_is_block_diagonal_of_copies(kind, copies):
+    # the tiled template pattern sums each copy's cotangents in its own face
+    # order, so the union equals each copy's own Laplacian bit for bit
+    mesh = _laplacian_test_mesh(kind)
+    knots = _knots(mesh, copies)
+    got = _union_geometry(knots, mesh.faces).lap
+    ref = sparse.block_diag([cotan_laplacian(mesh.with_vertices(k)) for k in knots], format="csr")
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+
+
+def test_union_laplacian_pattern_keyed_by_template():
+    mesh = syn.icosphere(2)
+    pattern = elsa.mesh._laplacian_pattern
+    pattern.cache_clear()
+    _union_geometry(_knots(mesh, 5), mesh.faces)
+    assert pattern.cache_info().currsize == 1
+    pattern(mesh.faces.tobytes(), mesh.n_vertices, 5)
+    assert pattern.cache_info().hits == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from elsa import (
     vertex_volumes,
 )
 from elsa.mesh import DegenerateFaceError, MeshError
+from elsa.metric import _union_geometry, _union_tail
 
 import synthetic as syn
 
@@ -219,6 +220,25 @@ def test_degenerate_face_rejected():
 # ---------------------------------------------------------------------------
 # path energy (discrete differences)
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("start", [0, 1, 3])
+def test_union_tail_matches_union_of_tail_knots(start):
+    # every per-face and per-vertex quantity is summed within its own copy in
+    # face order, so a slice of the union equals the union of the slice
+    mesh = syn.bumpy_mesh(40, seed=3)
+    K = 4
+    knots = mesh.vertices * (1.0 + 0.05 * np.random.default_rng(5).standard_normal((K, 1, 1)))
+    tail = _union_tail(_union_geometry(knots, mesh.faces), K, start)
+    ref = _union_geometry(knots[start:], mesh.faces)
+    assert np.array_equal(tail.mesh.vertices, ref.mesh.vertices)
+    assert np.array_equal(tail.mesh.faces, ref.mesh.faces)
+    for name in ("dq", "g", "n", "area"):
+        assert np.array_equal(getattr(tail.frames, name), getattr(ref.frames, name))
+    assert np.array_equal(tail.ginv, ref.ginv)
+    assert np.array_equal(tail.vol, ref.vol)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(tail.lap, name), getattr(ref.lap, name))
 
 
 def test_constant_path_zero_energy():
