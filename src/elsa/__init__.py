@@ -16,7 +16,6 @@ from .mesh import (
     cotan_laplacian_apply,
     face_areas,
     face_frames,
-    face_samples,
     load_mesh,
     mesh_diameter,
     normalize_unit_diameter,

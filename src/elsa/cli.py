@@ -326,12 +326,8 @@ def cmd_evaluate(args, cfg, out):
     columns = ["pred", "truth", "hausdorff", "chamfer", "varifold", "mse", "geodesic_error"]
     rows = []
     for pred_path, truth_path in pairs:
-        report = evaluate_pair(
-            load_mesh(pred_path),
-            load_mesh(truth_path),
-            VarifoldConfig(cfg.sigma),
-            provenance=(pred_path, truth_path),
-        )
+        pair = load_mesh(pred_path), load_mesh(truth_path)
+        report = evaluate_pair(*pair, VarifoldConfig(cfg.sigma))
         row = {"pred": pred_path, "truth": truth_path}
         row.update({k: repr(v) for k, v in report.values.items()})
         rows.append(row)

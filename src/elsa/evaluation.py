@@ -23,7 +23,6 @@ class EvalReport:
     """Named metric values for one mesh pair."""
 
     values: dict
-    provenance: tuple = ("", "")
 
     def __post_init__(self):
         for name, value in self.values.items():
@@ -100,7 +99,7 @@ def _geodesic_error(truth, snapped):
     return float(per_vertex.mean())
 
 
-def evaluate_pair(a, b, varifold_config=None, provenance=("", "")):
+def evaluate_pair(a, b, varifold_config=None):
     """All applicable metrics for one pair, as an :class:`EvalReport`.
 
     Registered metrics are included only when the topologies match; the
@@ -112,4 +111,4 @@ def evaluate_pair(a, b, varifold_config=None, provenance=("", "")):
     if a.same_topology(b):
         values["mse"] = registered_mse(a, b)
         values["geodesic_error"] = _geodesic_error(b, nearest)
-    return EvalReport(values=values, provenance=tuple(provenance))
+    return EvalReport(values=values)

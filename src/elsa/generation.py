@@ -111,9 +111,12 @@ def fit_gmm(samples, n_components, seed=0, max_em_iterations=200):
     """Fit a mixture by EM from a k-means++ style seeded start.
 
     Deterministic for a fixed seed.  The log-likelihood trajectory is stored
-    on the returned model and is nondecreasing; an EM iteration that empties
-    a component triggers one re-seed of that component, a second emptying is
-    an error.
+    on the returned model.  It need not be nondecreasing: the covariance
+    loading can lower it, and a re-seed restarts it.  EM stops once it rises
+    by less than a relative tolerance or falls, except on the iteration right
+    after a re-seed, whose value is compared with nothing before it.  An EM
+    iteration that empties a component triggers one re-seed of that
+    component; a second emptying is an error.
     """
     data = np.asarray(samples, dtype=np.float64)
     if data.ndim != 2:
@@ -129,21 +132,23 @@ def fit_gmm(samples, n_components, seed=0, max_em_iterations=200):
     covs = np.repeat(base_cov[None], k, axis=0)
     weights = np.full(k, 1.0 / k)
 
-    reseeded = False
+    reseeded = fresh = False
     history = []
     for _ in range(max_em_iterations):
         logp = _log_prob_matrix(data, weights, means, covs)
         per_point = logsumexp(logp, axis=1)
         history.append(float(per_point.sum()))
-        if len(history) > 1 and history[-1] - history[-2] < _EM_TOL * max(1.0, abs(history[-2])):
+        if (len(history) > 1 and not fresh
+                and history[-1] - history[-2] < _EM_TOL * max(1.0, abs(history[-2]))):
             break
+        fresh = False
         resp = np.exp(logp - per_point[:, None])
         mass = resp.sum(axis=0)
         empty = mass < 1e-12
         if empty.any():
             if reseeded:
                 raise SolverFailure("EM produced an empty mixture component twice")
-            reseeded = True
+            reseeded = fresh = True
             worst = np.argmin(per_point)
             for j in np.flatnonzero(empty):
                 means[j] = data[worst]

@@ -5,11 +5,13 @@ index array of shape ``(M, 3)``.  Vertex fields (tangent vectors to the mesh,
 one 3-vector per vertex) are plain ``(N, 3)`` float arrays aligned with the
 vertex list.
 
-Per-face geometry (edges, fundamental forms, unit normals, areas and the
-zero-area check) is formed in one place, :func:`face_frames`; areas,
-varifold atoms, cotangents and vertex volumes are read from it.  Values per
-face corner (vertex-volume shares, gradient contributions) are summed onto
-the vertices by one scatter, :func:`scatter_corners`.
+Per-face geometry (edges, fundamental forms, unit normals, areas,
+barycenters and the zero-area check) is formed in one place,
+:func:`face_frames`, as one record, :class:`FaceFrames`.  Areas, the
+varifold atoms (barycenter, normal, area), cotangents and vertex volumes are
+read from it, and mesh validation takes its zero-area check from it.  Values
+per face corner (vertex-volume shares, gradient contributions) are summed
+onto the vertices by one scatter, :func:`scatter_corners`.
 
 Conventions used throughout the package:
 
@@ -93,12 +95,12 @@ class TriangleMesh:
             raise MeshError(f"vertices must be (N, 3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
             raise MeshError(f"faces must be (M, 3), got {f.shape}")
-        if validate:
-            _validate(v, f)
         v.setflags(write=False)
         f.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
+        if validate:
+            _validate(self)
 
     def __setattr__(self, name, value):
         raise AttributeError("TriangleMesh is immutable")
@@ -143,23 +145,19 @@ def cross(a, b):
     return out
 
 
-def _validate(v, f):
-    n = v.shape[0]
+def _validate(mesh):
+    v, f = mesh.vertices, mesh.faces
     if not np.all(np.isfinite(v)):
         raise MeshError("non-finite vertex coordinates")
     if f.size:
-        if f.min() < 0 or f.max() >= n:
+        if f.min() < 0 or f.max() >= v.shape[0]:
             raise MeshError("face index out of range")
         same = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 0] == f[:, 2])
         if same.any():
             raise DegenerateFaceError(
                 "degenerate face: repeated vertex index", int(np.flatnonzero(same)[0])
             )
-        c = cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-        area2 = np.einsum("ij,ij->i", c, c)
-        bad = area2 <= 0.0
-        if bad.any():
-            raise DegenerateFaceError("zero-area face", int(np.flatnonzero(bad)[0]))
+    face_frames(mesh)  # the zero-area check
 
 
 @dataclass(frozen=True)
@@ -176,33 +174,18 @@ class FaceFrames:
         Unit face normals ``(e01 x e02) / |e01 x e02|``.
     area : ndarray, (M,)
         True triangle areas.
+    centers : ndarray, (M, 3)
+        Barycenters ``(v0 + v1 + v2) / 3``.
     """
 
     dq: np.ndarray
     g: np.ndarray
     n: np.ndarray
     area: np.ndarray
+    centers: np.ndarray
 
     def __len__(self):
         return self.area.shape[0]
-
-
-@dataclass(frozen=True)
-class FaceSamples:
-    """Per-face (barycenter, unit normal, area) samples."""
-
-    centers: np.ndarray
-    normals: np.ndarray
-    areas: np.ndarray
-
-    def __len__(self):
-        return self.areas.shape[0]
-
-
-def face_corners(mesh):
-    """Gathered corner positions ``(v0, v1, v2)``, each ``(M, 3)``."""
-    v, f = mesh.vertices, mesh.faces
-    return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
 
 
 def face_areas(mesh):
@@ -236,12 +219,13 @@ def vertex_volumes(mesh, areas=None):
 
 
 def face_frames(mesh):
-    """Edge matrices, fundamental forms, unit normals and areas per face.
+    """Edge matrices, fundamental forms, unit normals, areas and barycenters per face.
 
     The one place that forms per-face geometry; raises ``DegenerateFaceError``
     on a zero-area face.
     """
-    v0, v1, v2 = face_corners(mesh)
+    v, f = mesh.vertices, mesh.faces
+    v0, v1, v2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     e1 = v1 - v0
     e2 = v2 - v0
     dq = np.stack([e1, e2], axis=2)
@@ -256,18 +240,7 @@ def face_frames(mesh):
     if np.any(norm <= 0.0):
         raise DegenerateFaceError("zero-area face", int(np.flatnonzero(norm <= 0.0)[0]))
     n = c / norm[:, None]
-    return FaceFrames(dq=dq, g=g, n=n, area=0.5 * norm)
-
-
-def face_samples(mesh, frames=None):
-    """Barycenters, unit normals and areas per face (varifold atoms).
-
-    Normals and areas are those of ``frames``, by default
-    :func:`face_frames` of the mesh; only the barycenters are formed here.
-    """
-    fr = face_frames(mesh) if frames is None else frames
-    v0, v1, v2 = face_corners(mesh)
-    return FaceSamples(centers=(v0 + v1 + v2) / 3.0, normals=fr.n, areas=fr.area)
+    return FaceFrames(dq=dq, g=g, n=n, area=0.5 * norm, centers=(v0 + v1 + v2) / 3.0)
 
 
 def face_cotangents(frames):

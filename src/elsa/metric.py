@@ -31,7 +31,7 @@ term is a finite difference of its own, between unit normals.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def _union_tail(geom, n_copies, start):
     fr = geom.frames
     return _MeshGeometry(
         mesh=TriangleMesh(mesh.vertices[n0:], mesh.faces[m0:] - n0, validate=False),
-        frames=FaceFrames(dq=fr.dq[m0:], g=fr.g[m0:], n=fr.n[m0:], area=fr.area[m0:]),
+        frames=FaceFrames(**{f.name: getattr(fr, f.name)[m0:] for f in fields(FaceFrames)}),
         ginv=geom.ginv[m0:],
         vol=geom.vol[n0:],
         lap=geom.lap[n0:, n0:],

@@ -1,7 +1,8 @@
 """Parametrization-blind kernel distance between surface meshes.
 
-Each mesh is represented by its face atoms (barycenter, unit normal, area)
-and compared through the kernel
+Each mesh is represented by its face atoms (barycenter, unit normal, area),
+read off its :class:`mesh.FaceFrames` (``centers``, ``n``, ``area``), and
+compared through the kernel
 
     k(x, n, x', n') = exp(-|x - x'|^2 / sigma^2) * (n . n')^2
 
@@ -20,9 +21,9 @@ out of these reductions as matrix products (see :func:`_pair_pass`).
 
 A mesh matched against a fixed one over many evaluations (the data term of
 the relaxed solvers) is compared with a :class:`VarifoldTarget`: the fixed
-mesh's atoms and its ``<b,b>``, computed once per kernel scale.
-:func:`varifold_value_and_grad` then makes two blockwise passes, a-a and
-a-b; each returns its pair sum and the atom gradients from the same kernel
+mesh's face frames (its atoms) and its ``<b,b>``, computed once per kernel
+scale.  :func:`varifold_value_and_grad` then makes two blockwise passes, a-a
+and a-b; each returns its pair sum and the atom gradients from the same kernel
 blocks.  Every distance and gradient is read off these two passes.  A sum
 in another order, such as one over the direct differences ``c_a - c_b``,
 agrees to rounding only; the center gradient differs most, through
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._diff import area_edge_grads, edge_corners, normal_edge_grads
-from .mesh import FaceSamples, TriangleMesh, face_frames, face_samples, scatter_corners
+from .mesh import FaceFrames, TriangleMesh, face_frames, scatter_corners
 
 #: number of source atoms per block in pair sums (bounds memory, fixes the
 #: reduction order so results do not depend on how work is split)
@@ -97,26 +98,26 @@ def _kernel_products(ca, na, cb, nb, ab, sigma, normals=True):
 
 @dataclass(frozen=True, eq=False)
 class VarifoldTarget:
-    """A fixed mesh's face atoms and squared norm ``<b,b>`` at one kernel scale.
+    """A fixed mesh's face frames (its atoms) and squared norm ``<b,b>`` at one kernel scale.
 
     Build it once per mesh and scale; distances to it then skip ``<b,b>``.
     """
 
     mesh: TriangleMesh
     config: VarifoldConfig
-    samples: FaceSamples = field(init=False, repr=False)
+    frames: FaceFrames = field(init=False, repr=False)
     norm_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        s = face_samples(self.mesh)
-        object.__setattr__(self, "samples", s)
+        fr = face_frames(self.mesh)
+        object.__setattr__(self, "frames", fr)
         # the sum _pair_pass forms, bit for bit, without its normal reduction:
         # that costs 1.17x on 2000 faces, and target builds are about 11 % of
         # a registration round
         kw, _ = _kernel_products(
-            s.centers, s.normals, s.centers, s.normals, s.areas, self.config.sigma, normals=False
+            fr.centers, fr.n, fr.centers, fr.n, fr.area, self.config.sigma, normals=False
         )
-        object.__setattr__(self, "norm_sq", float(s.areas @ kw[:, 0]))
+        object.__setattr__(self, "norm_sq", float(fr.area @ kw[:, 0]))
 
 
 def varifold_norm_sq(mesh, config):
@@ -153,16 +154,10 @@ def varifold_value_and_grad(mesh, target):
     coincide.
     """
     sigma = target.config.sigma
-    sb = target.samples
-    fr = face_frames(mesh)
-    sa = face_samples(mesh, fr)
+    fr, fb = face_frames(mesh), target.frames
     # d<a,a>/datom carries a factor 2 by symmetry of the kernel
-    aa, gc, gn, ga = _pair_pass(
-        sa.centers, sa.normals, sa.areas, sa.centers, sa.normals, sa.areas, sigma
-    )
-    ab, gc2, gn2, ga2 = _pair_pass(
-        sa.centers, sa.normals, sa.areas, sb.centers, sb.normals, sb.areas, sigma
-    )
+    aa, gc, gn, ga = _pair_pass(fr.centers, fr.n, fr.area, fr.centers, fr.n, fr.area, sigma)
+    ab, gc2, gn2, ga2 = _pair_pass(fr.centers, fr.n, fr.area, fb.centers, fb.n, fb.area, sigma)
     gc = 2.0 * gc - 2.0 * gc2
     gn = 2.0 * gn - 2.0 * gn2
     ga = 2.0 * ga - 2.0 * ga2

@@ -146,7 +146,7 @@ def test_evaluate_pair_contents():
 
     mesh = syn.icosphere(1)
     other = mesh.with_vertices(mesh.vertices * 1.02)
-    report = evaluate_pair(mesh, other, VarifoldConfig(0.2), provenance=("a", "b"))
+    report = evaluate_pair(mesh, other, VarifoldConfig(0.2))
     assert set(report.values) == {"hausdorff", "chamfer", "varifold", "mse", "geodesic_error"}
     different = syn.icosphere(2)
     report2 = evaluate_pair(mesh, different)

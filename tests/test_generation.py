@@ -68,6 +68,17 @@ def test_loglikelihood_monotone():
     assert np.all(np.diff(history) >= -1e-12 * np.maximum(1.0, np.abs(history[:-1])))
 
 
+def test_no_convergence_test_right_after_a_reseed():
+    # component 2 empties and is re-seeded on the whole data's covariance; the
+    # re-seeded likelihood falls below the one before, which is no convergence
+    # (the fit used to stop there and return the re-seeded, unfitted model);
+    # EM then empties the component again, the documented failure
+    x = [-7105.769442, -53.446184, -53.486878, -53.448143, -53.486998, -53.436597,
+         -53.458746, -53.441868, 2.597757, 2.625268, 2.618718, 2.592776, 2.559905]
+    with pytest.raises(SolverFailure, match="empty mixture component twice"):
+        fit_gmm(np.array(x)[:, None], 4, seed=515)
+
+
 def test_two_well_separated_clusters():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((80, 2)) * 0.3 + [5, 0]

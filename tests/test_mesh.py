@@ -12,7 +12,6 @@ from elsa import (
     cotan_laplacian_apply,
     face_areas,
     face_frames,
-    face_samples,
     load_mesh,
     mesh_diameter,
     normalize_unit_diameter,
@@ -25,7 +24,6 @@ from elsa.mesh import (
     MeshError,
     cotan_laplacian,
     cross,
-    face_corners,
     face_cotangents,
     mesh_edges,
     scatter_corners,
@@ -56,6 +54,11 @@ def test_rejects_zero_area_face():
     with pytest.raises(DegenerateFaceError) as err:
         TriangleMesh([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[0, 1, 2]])
     assert err.value.face_index == 0
+    # the first of several, with the reason face_frames gives
+    v = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 0, 0]]
+    with pytest.raises(DegenerateFaceError) as err:
+        TriangleMesh(v, [[0, 1, 2], [0, 1, 3], [1, 3, 0]])
+    assert (err.value.reason, err.value.face_index) == ("zero-area face", 1)
 
 
 def test_mesh_is_immutable():
@@ -340,7 +343,7 @@ def test_scatter_corners_matches_loop_oracle():
 def test_cross_equals_numpy_cross_bit_for_bit():
     rng = np.random.default_rng(12)
     for mesh in (syn.icosphere(3), syn.bumpy_mesh(30, seed=5), syn.grid_mesh(6, 6, 0.2)):
-        v0, v1, v2 = face_corners(mesh)
+        v0, v1, v2 = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
         e1, e2 = v1 - v0, v2 - v0
         assert np.array_equal(cross(e1, e2), np.cross(e1, e2))
         # column views of an edge stack, as the mesh gradients pass them
@@ -361,11 +364,9 @@ def test_cross_equals_numpy_cross_bit_for_bit():
 def test_frames_are_the_geometry_of_samples_and_cotangents():
     for mesh in (syn.icosphere(3), syn.bumpy_mesh(30, seed=5)):
         fr = face_frames(mesh)
-        s = face_samples(mesh)
-        assert np.array_equal(s.normals, fr.n)
-        assert np.array_equal(s.areas, fr.area)
+        v0, v1, v2 = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
+        assert np.array_equal(fr.centers, (v0 + v1 + v2) / 3.0)
         # cotangents from the gathered edges, as a direct formula
-        v0, v1, v2 = face_corners(mesh)
         e1, e2 = v1 - v0, v2 - v0
         twice_area = np.linalg.norm(np.cross(e1, e2), axis=1)
         direct = np.stack(
@@ -590,29 +591,29 @@ def test_union_laplacian_pattern_keyed_by_template():
 
 
 # ---------------------------------------------------------------------------
-# face samples
+# face samples (varifold atoms): barycenters, normals and areas of the frames
 # ---------------------------------------------------------------------------
 
 
 def test_face_samples_barycenter():
-    s = face_samples(UNIT_RIGHT)
-    assert np.allclose(s.centers[0], [1 / 3, 1 / 3, 0], atol=1e-15)
+    fr = face_frames(UNIT_RIGHT)
+    assert np.allclose(fr.centers[0], [1 / 3, 1 / 3, 0], atol=1e-15)
 
 
 def test_face_samples_translation_equivariance():
     mesh = syn.icosphere(1)
     t = np.array([0.3, -1.0, 2.0])
     moved = mesh.with_vertices(mesh.vertices + t)
-    s0 = face_samples(mesh)
-    s1 = face_samples(moved)
-    assert np.allclose(s1.centers, s0.centers + t, atol=1e-12)
-    assert np.allclose(s1.normals, s0.normals, atol=1e-12)
+    f0 = face_frames(mesh)
+    f1 = face_frames(moved)
+    assert np.allclose(f1.centers, f0.centers + t, atol=1e-12)
+    assert np.allclose(f1.n, f0.n, atol=1e-12)
 
 
 def test_face_samples_centroid_oracle():
     mesh = syn.bumpy_mesh(60, seed=8)
-    s = face_samples(mesh)
-    centroid = (s.centers * s.areas[:, None]).sum(axis=0) / s.areas.sum()
+    fr = face_frames(mesh)
+    centroid = (fr.centers * fr.area[:, None]).sum(axis=0) / fr.area.sum()
     # oracle: direct integral of the identity over each triangle
     v0, v1, v2 = (mesh.vertices[mesh.faces[:, k]] for k in range(3))
     tri_centroid = (v0 + v1 + v2) / 3.0

@@ -14,7 +14,7 @@ from elsa import (
     varifold_sqdist_to,
     varifold_value_and_grad,
 )
-from elsa.mesh import face_samples
+from elsa.mesh import face_frames
 from elsa.varifold import _BLOCK, _pair_pass
 
 import synthetic as syn
@@ -127,14 +127,14 @@ def test_translation_directional_derivative():
     grad = varifold_grad(a, b, CFG)
     got = float(grad.sum(axis=0) @ t)
 
-    sa = face_samples(a)
-    sb = face_samples(b)
+    fa = face_frames(a)
+    fb = face_frames(b)
     inv_s2 = 1.0 / CFG.sigma**2
-    diff = sa.centers[:, None, :] - sb.centers[None, :, :]
+    diff = fa.centers[:, None, :] - fb.centers[None, :, :]
     d2 = np.sum(diff**2, axis=2)
-    dots = sa.normals @ sb.normals.T
+    dots = fa.n @ fb.n.T
     kern = np.exp(-d2 * inv_s2) * dots**2
-    w = sa.areas[:, None] * sb.areas[None, :]
+    w = fa.area[:, None] * fb.area[None, :]
     # d/dt [-2 <a+t, b>] = 4/sigma^2 sum k * (c_a - c_b) . t * w
     expected = float(np.sum(4.0 * inv_s2 * kern * w * (diff @ t)))
     assert got == pytest.approx(expected, rel=1e-10)
@@ -186,17 +186,17 @@ def test_fused_gradient_matches_finite_differences():
         assert got == pytest.approx(fd, rel=1e-6, abs=1e-9 * max(1.0, abs(fd)))
 
 
-def _dense_pair_pass(sa, sb, sigma):
+def _dense_pair_pass(fa, fb, sigma):
     """Pair sum and atom gradients from the direct differences c_a - c_b."""
-    diff = sa.centers[:, None, :] - sb.centers[None, :, :]
+    diff = fa.centers[:, None, :] - fb.centers[None, :, :]
     expo = np.exp(-np.sum(diff**2, axis=2) / sigma**2)
-    dots = sa.normals @ sb.normals.T
-    w = sa.areas[:, None] * sb.areas[None, :]
+    dots = fa.n @ fb.n.T
+    w = fa.area[:, None] * fb.area[None, :]
     kern = expo * dots**2
     total = float(np.sum(kern * w))
     gc = -2.0 / sigma**2 * np.sum((kern * w)[:, :, None] * diff, axis=1)
-    gn = (2.0 * expo * dots * w) @ sb.normals
-    ga = kern @ sb.areas
+    gn = (2.0 * expo * dots * w) @ fb.n
+    ga = kern @ fb.area
     return total, gc, gn, ga
 
 
@@ -213,9 +213,9 @@ def _self_pair():
 ])
 def test_pair_pass_matches_dense_oracle(meshes, sigma):
     a, b = meshes()
-    sa, sb = face_samples(a), face_samples(b)
-    got = _pair_pass(sa.centers, sa.normals, sa.areas, sb.centers, sb.normals, sb.areas, sigma)
-    want = _dense_pair_pass(sa, sb, sigma)
+    fa, fb = face_frames(a), face_frames(b)
+    got = _pair_pass(fa.centers, fa.n, fa.area, fb.centers, fb.n, fb.area, sigma)
+    want = _dense_pair_pass(fa, fb, sigma)
     assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0.0)
     for g, w in zip(got[1:], want[1:]):
         assert g.shape == w.shape
