@@ -11,7 +11,8 @@ summed with area weights over all face pairs.  The squared distance
 blind to vertex ordering, face ordering and (through the squared cosine)
 to orientation flips.  The gradient with respect to the vertex positions of
 the first mesh is assembled analytically; no kernel approximation is used,
-pair sums run exactly in fixed-size blocks of first-mesh atoms.
+pair sums run exactly in blocks of first-mesh atoms, as many per block as
+keep the block's kernel buffers within a fixed byte budget.
 
 Each block of the kernel is formed in place: one matrix product gives the
 exponent, which is clamped, exponentiated and multiplied by the cosines
@@ -39,9 +40,13 @@ import numpy as np
 from ._diff import area_edge_grads, edge_corners, normal_edge_grads
 from .mesh import FaceFrames, TriangleMesh, face_frames, scatter_corners
 
-#: number of source atoms per block in pair sums (bounds memory, fixes the
-#: reduction order so results do not depend on how work is split)
+#: most first-mesh atoms per block in pair sums
 _BLOCK = 1024
+#: bytes of one (rows, n_b) float64 kernel buffer: a block takes as many
+#: first-mesh atoms as fit (1 to ``_BLOCK``), so its two buffers stay in cache.
+#: Rows depend only on n_b, so results are deterministic per input; another
+#: split changes the last bits of the row sums.
+_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -62,11 +67,12 @@ def _kernel_products(ca, na, cb, nb, ab, sigma, normals=True):
     K = E D^2, returns ``K @ [a_b, a_b c_b]`` (one row of 4 per atom of a)
     and, if ``normals``, ``(E D) @ (a_b n_b)`` (one row of 3), else None.
 
-    The atoms of a run in blocks of ``_BLOCK``.  Each block's exponent is one
-    matrix product of the lifted centers (2 c_a / sigma^2, -|c_a|^2 / sigma^2,
-    -1) and (c_b, 1, |c_b|^2 / sigma^2), clamped at zero against cancellation;
+    The atoms of a run in blocks of ``_BLOCK_BYTES // (8 n_b)`` rows (at
+    least one, at most ``_BLOCK``).  Each block's exponent is one matrix
+    product of the lifted centers (2 c_a / sigma^2, -|c_a|^2 / sigma^2, -1)
+    and (c_b, 1, |c_b|^2 / sigma^2), clamped at zero against cancellation;
     it is exponentiated and multiplied by the cosines in place, in two
-    (block, n_b) buffers that every block reuses.
+    (rows, n_b) buffers that every block reuses.
     """
     inv_s2 = 1.0 / sigma**2
     sq_a = inv_s2 * np.einsum("ij,ij->i", ca, ca)
@@ -76,12 +82,13 @@ def _kernel_products(ca, na, cb, nb, ab, sigma, normals=True):
     wb = np.column_stack([ab, ab[:, None] * cb])
     wn = ab[:, None] * nb if normals else None
     n = ca.shape[0]
-    expo = np.empty((min(n, _BLOCK), cb.shape[0]))
+    rows = min(_BLOCK, max(1, _BLOCK_BYTES // (8 * cb.shape[0])))
+    expo = np.empty((min(n, rows), cb.shape[0]))
     kern = np.empty_like(expo)
     kw = np.empty((n, 4))
     en = np.empty((n, 3)) if normals else None
-    for start in range(0, n, _BLOCK):
-        sl = slice(start, min(start + _BLOCK, n))
+    for start in range(0, n, rows):
+        sl = slice(start, min(start + rows, n))
         e = expo[: sl.stop - start]
         k = kern[: sl.stop - start]
         np.matmul(xa[sl], xb.T, out=e)
@@ -112,8 +119,8 @@ class VarifoldTarget:
         fr = face_frames(self.mesh)
         object.__setattr__(self, "frames", fr)
         # the sum _pair_pass forms, bit for bit, without its normal reduction:
-        # that costs 1.17x on 2000 faces, and target builds are about 11 % of
-        # a registration round
+        # that costs about 1.15x on 2000 faces, and target builds (one per
+        # kernel scale) take about 7 % of a registration round
         kw, _ = _kernel_products(
             fr.centers, fr.n, fr.centers, fr.n, fr.area, self.config.sigma, normals=False
         )

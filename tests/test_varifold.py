@@ -15,7 +15,7 @@ from elsa import (
     varifold_value_and_grad,
 )
 from elsa.mesh import face_frames
-from elsa.varifold import _BLOCK, _pair_pass
+from elsa.varifold import _BLOCK, _BLOCK_BYTES, _pair_pass
 
 import synthetic as syn
 
@@ -147,7 +147,7 @@ def test_translation_directional_derivative():
 
 @pytest.mark.parametrize("sigma", [0.3, 0.1])
 def test_fused_equals_reference_across_blocks(sigma):
-    # both meshes exceed one block, so every pass runs a full block and a tail
+    # both meshes exceed the row cap, so every pass runs full blocks and a tail
     a = syn.icosphere(3)
     b = syn.bumpy_mesh(560, seed=16)
     assert a.n_faces > _BLOCK and b.n_faces > _BLOCK
@@ -207,9 +207,9 @@ def _self_pair():
 
 @pytest.mark.parametrize("sigma", [0.1, 0.3])
 @pytest.mark.parametrize("meshes", [
-    lambda: (syn.icosphere(2), syn.uv_sphere(26, 40)),  # one block of a
-    lambda: (syn.icosphere(3), syn.bumpy_mesh(560, seed=16)),  # two blocks of a
-    _self_pair,  # two blocks of a, against itself: a target's <b,b>
+    lambda: (syn.icosphere(2), syn.uv_sphere(26, 40)),  # 10 full blocks of a
+    lambda: (syn.icosphere(3), syn.bumpy_mesh(560, seed=16)),  # 22 blocks of a and a tail
+    _self_pair,  # 62 blocks and a tail, against itself: a target's <b,b>
 ])
 def test_pair_pass_matches_dense_oracle(meshes, sigma):
     a, b = meshes()
@@ -226,7 +226,8 @@ def test_pair_pass_matches_dense_oracle(meshes, sigma):
 
 
 def test_target_build_holds_at_most_three_blocks():
-    # 2000 faces at sigma = 0.1: two blocks of first-mesh atoms against 2000
+    # 2000 faces at sigma = 0.1: blocks of 32 first-mesh atoms against 2000,
+    # well inside three blocks of the row cap
     mesh = syn.uv_sphere(26, 40)
     assert _BLOCK < mesh.n_faces <= 2 * _BLOCK
     tracemalloc.start()
@@ -236,6 +237,30 @@ def test_target_build_holds_at_most_three_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * _BLOCK * mesh.n_faces * 8
+
+
+def _traced_peak(fun):
+    tracemalloc.start()
+    try:
+        fun()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scratch_memory_bounded_by_block_bytes():
+    # 7800 faces: 1024-row blocks would hold 2 x 1024 x 7800 x 8 B = 128 MB;
+    # byte-sized blocks hold two kernel buffers and O(n) atom arrays
+    # (about 290 B per face for a target build)
+    mesh = syn.uv_sphere(40, 100)
+    assert mesh.n_faces == 7800
+    cfg = VarifoldConfig(0.1)
+    peak = _traced_peak(lambda: VarifoldTarget(mesh, cfg))
+    assert peak <= 3 * _BLOCK_BYTES + 512 * mesh.n_faces
+    target = VarifoldTarget(mesh, cfg)
+    a = syn.icosphere(2)
+    peak = _traced_peak(lambda: varifold_value_and_grad(a, target))
+    assert peak <= 3 * _BLOCK_BYTES + 512 * (a.n_faces + mesh.n_faces)
 
 
 # ---------------------------------------------------------------------------
