@@ -13,8 +13,6 @@ from .mesh import (
     MeshParseError,
     TriangleMesh,
     cotan_laplacian,
-    cotan_laplacian_apply,
-    face_areas,
     face_frames,
     load_mesh,
     mesh_diameter,
@@ -23,16 +21,7 @@ from .mesh import (
     vertex_volumes,
 )
 from .metric import MetricCoefficients, MetricTerms, h2_inner, h2_inner_terms, metric_terms, path_energy
-from .varifold import (
-    VarifoldConfig,
-    VarifoldTarget,
-    remeshing_relative_error,
-    varifold_grad,
-    varifold_norm_sq,
-    varifold_sqdist,
-    varifold_sqdist_to,
-    varifold_value_and_grad,
-)
+from .varifold import VarifoldTarget, varifold_sqdist, varifold_value_and_grad
 from .latent import (
     LatentBasis,
     decode,
@@ -56,6 +45,6 @@ from .solvers import (
 )
 from .basis_builder import PCAResult, TangentSample, assemble_basis, pca, pose_tangents, shape_tangents
 from .generation import GmmModel, fit_gmm, generate_shape, load_gmm, sample_code, save_gmm
-from .evaluation import EvalReport, chamfer, geodesic_correspondence_error, hausdorff, registered_mse
+from .evaluation import EvalReport, registered_mse
 
 __version__ = "0.1.0"

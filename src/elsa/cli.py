@@ -37,7 +37,7 @@ from .mesh import (
     save_mesh,
 )
 from .solvers import SolverFailure, geodesic_ivp, relaxed_geodesic, retrieve_latent
-from .varifold import VarifoldConfig, varifold_sqdist
+from .varifold import varifold_sqdist
 
 
 def _build_parser():
@@ -302,7 +302,7 @@ def cmd_generate(args, cfg, out):
 def cmd_distance(args, cfg, out):
     a, _ = _load_input(args.a, cfg)
     b, _ = _load_input(args.b, cfg)
-    value = float(np.sqrt(varifold_sqdist(a, b, VarifoldConfig(cfg.sigma))))
+    value = float(np.sqrt(varifold_sqdist(a, b, cfg.sigma)))
     print(repr(value))
     return 0, {"a": str(args.a), "b": str(args.b), "distance": value}
 
@@ -327,7 +327,7 @@ def cmd_evaluate(args, cfg, out):
     rows = []
     for pred_path, truth_path in pairs:
         pair = load_mesh(pred_path), load_mesh(truth_path)
-        report = evaluate_pair(*pair, VarifoldConfig(cfg.sigma))
+        report = evaluate_pair(*pair, cfg.sigma)
         row = {"pred": pred_path, "truth": truth_path}
         row.update({k: repr(v) for k, v in report.values.items()})
         rows.append(row)

@@ -1,9 +1,10 @@
 """Similarity measures for judging reconstructions and correspondences.
 
-Hausdorff and Chamfer compare vertex sets and tolerate arbitrary remeshing;
-the registered mean squared error and the geodesic correspondence error
-require identical topology.  Nearest-neighbor queries run through a KD-tree,
-which agrees with the brute-force double loop exactly (the tests pin this).
+:func:`evaluate_pair` is the one evaluation of a mesh pair.  Hausdorff and
+Chamfer compare vertex sets and tolerate arbitrary remeshing; the registered
+mean squared error and the geodesic correspondence error require identical
+topology.  All of them read one KD-tree query each way, which agrees with
+the brute-force double loop exactly (the tests pin this).
 """
 
 from __future__ import annotations
@@ -46,16 +47,6 @@ def _vertex_set_metrics(a, b):
             "chamfer": float(d_ab.mean() + d_ba.mean())}, nearest
 
 
-def hausdorff(a, b):
-    """Symmetric Hausdorff distance between the two vertex sets."""
-    return _vertex_set_metrics(a, b)[0]["hausdorff"]
-
-
-def chamfer(a, b):
-    """Sum of the two mean nearest-neighbor vertex distances (not squared)."""
-    return _vertex_set_metrics(a, b)[0]["chamfer"]
-
-
 def registered_mse(a, b):
     """Mean squared vertex distance for meshes with identical topology."""
     if not a.same_topology(b):
@@ -64,21 +55,14 @@ def registered_mse(a, b):
     return float(np.einsum("ij,ij->i", diff, diff).mean())
 
 
-def geodesic_correspondence_error(pred, truth):
-    """Mean edge-graph geodesic distance between estimated and true matches.
-
-    Each predicted vertex ``i`` snaps to its nearest vertex ``j(i)`` on the
-    truth mesh; the error averages the shortest-path distance (Dijkstra on
-    edge lengths) between ``j(i)`` and ``i`` over all vertices.  The edge
-    graph approximates intrinsic geodesics from above.
-    """
-    if not pred.same_topology(truth):
-        raise MeshError("geodesic error requires identical topology")
-    return _geodesic_error(truth, cKDTree(truth.vertices).query(pred.vertices)[1])
-
-
 def _geodesic_error(truth, snapped):
-    """:func:`geodesic_correspondence_error` with vertex ``i`` snapped to ``snapped[i]``."""
+    """Mean edge-graph geodesic distance from vertex ``i`` to ``snapped[i]``.
+
+    Each predicted vertex ``i`` snaps to its nearest vertex ``snapped[i]`` on
+    the truth mesh; the error averages the shortest-path distance (Dijkstra
+    on edge lengths) between the two over all vertices.  The edge graph
+    approximates intrinsic geodesics from above.
+    """
     # imported here: csgraph is the largest import "import elsa" would add
     from scipy.sparse.csgraph import dijkstra
 
@@ -99,15 +83,15 @@ def _geodesic_error(truth, snapped):
     return float(per_vertex.mean())
 
 
-def evaluate_pair(a, b, varifold_config=None):
+def evaluate_pair(a, b, sigma=None):
     """All applicable metrics for one pair, as an :class:`EvalReport`.
 
     Registered metrics are included only when the topologies match; the
-    varifold distance is included when a kernel configuration is given.
+    varifold distance is included when a kernel scale ``sigma`` is given.
     """
     values, nearest = _vertex_set_metrics(a, b)
-    if varifold_config is not None:
-        values["varifold"] = float(np.sqrt(varifold_sqdist(a, b, varifold_config)))
+    if sigma is not None:
+        values["varifold"] = float(np.sqrt(varifold_sqdist(a, b, sigma)))
     if a.same_topology(b):
         values["mse"] = registered_mse(a, b)
         values["geodesic_error"] = _geodesic_error(b, nearest)

@@ -7,11 +7,13 @@ vertex list.
 
 Per-face geometry (edges, fundamental forms, unit normals, areas,
 barycenters and the zero-area check) is formed in one place,
-:func:`face_frames`, as one record, :class:`FaceFrames`.  Areas, the
-varifold atoms (barycenter, normal, area), cotangents and vertex volumes are
-read from it, and mesh validation takes its zero-area check from it.  Values
-per face corner (vertex-volume shares, gradient contributions) are summed
-onto the vertices by one scatter, :func:`scatter_corners`.
+:func:`face_frames`, as one record, :class:`FaceFrames`; face areas are its
+``area``.  The varifold atoms (barycenter, normal, area), cotangents and
+vertex volumes are read from it, and mesh validation takes its zero-area
+check from it.  Values per face corner (vertex-volume shares, gradient
+contributions) are summed onto the vertices by one scatter,
+:func:`scatter_corners`.  The Laplacian is one sparse matrix,
+:func:`cotan_laplacian`, applied to a vertex field as ``L @ h``.
 
 Conventions used throughout the package:
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -188,11 +191,6 @@ class FaceFrames:
         return self.area.shape[0]
 
 
-def face_areas(mesh):
-    """True triangle areas, ``0.5 * |e01 x e02|`` per face (of :func:`face_frames`)."""
-    return face_frames(mesh).area
-
-
 def scatter_corners(faces, values, n_vertices):
     """Sum per-face-corner values onto the vertices.
 
@@ -201,9 +199,11 @@ def scatter_corners(faces, values, n_vertices):
     face's corner 0 first), in face order within a corner.
     """
     idx = faces.T.ravel()
-    cols = np.reshape(values, faces.shape + (-1,)).transpose(2, 1, 0)
+    trail = np.shape(values)[2:]
+    # the row length is given, not inferred: a mesh with no faces has none to infer
+    cols = np.reshape(values, faces.shape + (math.prod(trail),)).transpose(2, 1, 0)
     out = [np.bincount(idx, weights=c.ravel(), minlength=n_vertices) for c in cols]
-    return np.stack(out, axis=-1).reshape((n_vertices,) + np.shape(values)[2:])
+    return np.stack(out, axis=-1).reshape((n_vertices,) + trail)
 
 
 def vertex_volumes(mesh, areas=None):
@@ -213,7 +213,7 @@ def vertex_volumes(mesh, areas=None):
     vertices get volume zero.
     """
     if areas is None:
-        areas = face_areas(mesh)
+        areas = face_frames(mesh).area
     share = np.repeat(areas[:, None] / 3.0, 3, axis=1)
     return scatter_corners(mesh.faces, share, mesh.n_vertices)
 
@@ -302,13 +302,12 @@ def _laplacian_pattern(face_bytes, n, copies):
     return pattern
 
 
-def cotan_laplacian(mesh, frames=None):
+def cotan_laplacian(mesh):
     """Sparse cotangent Laplacian ``L`` with ``(L h)_i = sum_j w_ij (h_i - h_j)``.
 
     ``w_ij`` sums the cotangents of the angles opposite the edge ``(i, j)``
     in its incident faces; boundary edges have a single incident face and
-    contribute one cotangent.  The cotangents come from ``frames``, by
-    default :func:`face_frames` of the mesh.
+    contribute one cotangent, read from :func:`face_frames` of the mesh.
 
     The CSR pattern (row pointers, sorted column indices and the slot of
     each corner entry) is built once per template face array, vertex count
@@ -318,7 +317,7 @@ def cotan_laplacian(mesh, frames=None):
     entries hold at most two terms, so they equal a COO assembly exactly;
     diagonal sums of more terms may differ from one in the last bits.
     """
-    return _union_laplacian(mesh, face_frames(mesh) if frames is None else frames, 1)
+    return _union_laplacian(mesh, face_frames(mesh), 1)
 
 
 def _union_laplacian(mesh, frames, copies):
@@ -337,18 +336,6 @@ def _check_field(mesh, h):
     if h.shape != (mesh.n_vertices, 3):
         raise MeshError(f"field shape {h.shape} does not match mesh ({mesh.n_vertices}, 3)")
     return h
-
-
-def cotan_laplacian_apply(mesh, h):
-    """Apply the cotangent Laplacian to a vertex field.
-
-    Parameters
-    ----------
-    h : ndarray, (N, 3)
-        Vertex field aligned with the mesh.
-    """
-    h = _check_field(mesh, h)
-    return cotan_laplacian(mesh) @ h
 
 
 def mesh_edges(mesh):

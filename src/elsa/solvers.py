@@ -36,7 +36,7 @@ from ._diff import h2_gradient_pairing, h2_vertex_gradient, path_energy_with_gra
 from .latent import decode, gram, latent_path_energy, latent_path_energy_with_grad
 from .mesh import MeshError, TriangleMesh
 from .metric import _union_geometry
-from .varifold import VarifoldConfig, VarifoldTarget, varifold_sqdist_to, varifold_value_and_grad
+from .varifold import VarifoldTarget, varifold_value_and_grad
 
 
 #: strong-Wolfe sufficient-decrease and curvature constants of the line search
@@ -332,7 +332,7 @@ def _minimize_stages(objective, x, schedule, config, meshes):
     """
     iterations, reasons = [], []
     for sigma, lam in schedule.stages:
-        targets = [VarifoldTarget(m, VarifoldConfig(sigma)) for m in meshes]
+        targets = [VarifoldTarget(m, sigma) for m in meshes]
         x, report = minimize(objective(targets, lam), x, config)
         iterations += report.iterations
         reasons += report.reasons
@@ -379,9 +379,9 @@ def retrieve_latent(basis, target, coefficients, schedule=None, time_steps=10, c
     # gradient test leaves them loose: make them the geodesic to the end code.
     path, refined = geodesic_bvp(basis, path[0], path[-1], T, coefficients, config, path)
     return path, replace(report, details={
-        "varifold_sqdist": varifold_sqdist_to(decode(basis, path[-1]), tgt),
+        "varifold_sqdist": varifold_value_and_grad(decode(basis, path[-1]), tgt)[0],
         "path_energy": refined.value,
-        "sigma": tgt.config.sigma,
+        "sigma": tgt.sigma,
         "geodesic_iterations": refined.iterations[0],
         "geodesic_grad_norm": refined.grad_norm,
     })
@@ -440,10 +440,10 @@ def relaxed_geodesic(basis, q0, q1, time_steps, coefficients, schedule=None, con
     x, report, (t0, t1) = _minimize_stages(objective, x0, schedule, config, (q0, q1))
     path = x.reshape(T + 1, P)
     return path, replace(report, details={
-        "gamma0": varifold_sqdist_to(decode(basis, path[0]), t0),
-        "gamma1": varifold_sqdist_to(decode(basis, path[-1]), t1),
+        "gamma0": varifold_value_and_grad(decode(basis, path[0]), t0)[0],
+        "gamma1": varifold_value_and_grad(decode(basis, path[-1]), t1)[0],
         "path_energy": latent_path_energy(basis, path, coefficients),
-        "sigma": t1.config.sigma,
+        "sigma": t1.sigma,
     })
 
 

@@ -20,15 +20,19 @@ without a temporary, and the block is then reduced against the second
 mesh's area-weighted atoms.  The pair sum and all three atom gradients come
 out of these reductions as matrix products (see :func:`_pair_pass`).
 
-A mesh matched against a fixed one over many evaluations (the data term of
-the relaxed solvers) is compared with a :class:`VarifoldTarget`: the fixed
-mesh's face frames (its atoms) and its ``<b,b>``, computed once per kernel
-scale.  :func:`varifold_value_and_grad` then makes two blockwise passes, a-a
-and a-b; each returns its pair sum and the atom gradients from the same kernel
-blocks.  Every distance and gradient is read off these two passes.  A sum
-in another order, such as one over the direct differences ``c_a - c_b``,
-agrees to rounding only; the center gradient differs most, through
-cancellation in the expanded exponent (about 1e-13 of its largest entry).
+The module has one target and one evaluation.  A :class:`VarifoldTarget` is
+a fixed mesh at one kernel scale ``sigma`` (checked positive there): its face
+frames (its atoms) and its ``<b,b>``, computed once.
+:func:`varifold_value_and_grad` evaluates a mesh against it in two blockwise
+passes, a-a and a-b; each returns its pair sum and the atom gradients from
+the same kernel blocks.  Every distance and gradient is read off these two
+passes; :func:`varifold_sqdist` is the same evaluation of two meshes.  A mesh
+with no faces has no atoms, so its varifold is zero.
+
+A sum in another order, such as one over the direct differences
+``c_a - c_b``, agrees to rounding only; the center gradient differs most,
+through cancellation in the expanded exponent (about 1e-13 of its largest
+entry).
 """
 
 from __future__ import annotations
@@ -47,17 +51,6 @@ _BLOCK = 1024
 #: Rows depend only on n_b, so results are deterministic per input; another
 #: split changes the last bits of the row sums.
 _BLOCK_BYTES = 512 * 1024
-
-
-@dataclass(frozen=True)
-class VarifoldConfig:
-    """Spatial kernel scale; same length units as the vertex coordinates."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
 def _kernel_products(ca, na, cb, nb, ab, sigma, normals=True):
@@ -82,7 +75,8 @@ def _kernel_products(ca, na, cb, nb, ab, sigma, normals=True):
     wb = np.column_stack([ab, ab[:, None] * cb])
     wn = ab[:, None] * nb if normals else None
     n = ca.shape[0]
-    rows = min(_BLOCK, max(1, _BLOCK_BYTES // (8 * cb.shape[0])))
+    # a mesh with no faces has no atoms: its products are all zero
+    rows = min(_BLOCK, max(1, _BLOCK_BYTES // (8 * max(cb.shape[0], 1))))
     expo = np.empty((min(n, rows), cb.shape[0]))
     kern = np.empty_like(expo)
     kw = np.empty((n, 4))
@@ -107,29 +101,26 @@ def _kernel_products(ca, na, cb, nb, ab, sigma, normals=True):
 class VarifoldTarget:
     """A fixed mesh's face frames (its atoms) and squared norm ``<b,b>`` at one kernel scale.
 
-    Build it once per mesh and scale; distances to it then skip ``<b,b>``.
+    ``sigma`` is the spatial kernel scale, in the units of the vertex
+    coordinates.  Build it once per mesh and scale; distances to it then skip
+    ``<b,b>``.
     """
 
     mesh: TriangleMesh
-    config: VarifoldConfig
+    sigma: float
     frames: FaceFrames = field(init=False, repr=False)
     norm_sq: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
         fr = face_frames(self.mesh)
         object.__setattr__(self, "frames", fr)
         # the sum _pair_pass forms, bit for bit, without its normal reduction:
         # that costs about 1.15x on 2000 faces, and target builds (one per
         # kernel scale) take about 7 % of a registration round
-        kw, _ = _kernel_products(
-            fr.centers, fr.n, fr.centers, fr.n, fr.area, self.config.sigma, normals=False
-        )
+        kw, _ = _kernel_products(fr.centers, fr.n, fr.centers, fr.n, fr.area, self.sigma, normals=False)
         object.__setattr__(self, "norm_sq", float(fr.area @ kw[:, 0]))
-
-
-def varifold_norm_sq(mesh, config):
-    """Squared varifold norm ``<m, m>`` of a single mesh."""
-    return VarifoldTarget(mesh, config).norm_sq
 
 
 def _pair_pass(ca, na, aa, cb, nb, ab, sigma):
@@ -160,7 +151,7 @@ def varifold_value_and_grad(mesh, target):
     cancellation when the two atom multisets (barycenter, normal, area)
     coincide.
     """
-    sigma = target.config.sigma
+    sigma = target.sigma
     fr, fb = face_frames(mesh), target.frames
     # d<a,a>/datom carries a factor 2 by symmetry of the kernel
     aa, gc, gn, ga = _pair_pass(fr.centers, fr.n, fr.area, fr.centers, fr.n, fr.area, sigma)
@@ -176,30 +167,6 @@ def varifold_value_and_grad(mesh, target):
     return max(aa - 2.0 * ab + target.norm_sq, 0.0), grad
 
 
-def varifold_sqdist_to(mesh, target):
-    """Squared kernel distance from ``mesh`` to a cached target, clamped at zero."""
-    return varifold_value_and_grad(mesh, target)[0]
-
-
-def varifold_sqdist(a, b, config):
-    """Squared kernel distance between two meshes, clamped at zero."""
-    return varifold_sqdist_to(a, VarifoldTarget(b, config))
-
-
-def varifold_grad(a, b, config):
-    """Gradient of :func:`varifold_sqdist` w.r.t. the vertices of ``a``; ``b`` is fixed."""
-    return varifold_value_and_grad(a, VarifoldTarget(b, config))[1]
-
-
-def remeshing_relative_error(a, a_remeshed, sigmas):
-    """Relative varifold error of a re-triangulation across kernel scales.
-
-    Returns ``sqrt(sqdist(a, a_remeshed)) / |a_remeshed|_Var`` for each
-    sigma.  For scales well above the triangle size the error of a faithful
-    remesh stays near zero; it grows once sigma resolves individual faces.
-    """
-    out = []
-    for sigma in sigmas:
-        target = VarifoldTarget(a_remeshed, VarifoldConfig(sigma=float(sigma)))
-        out.append(float(np.sqrt(varifold_sqdist_to(a, target)) / np.sqrt(target.norm_sq)))
-    return out
+def varifold_sqdist(a, b, sigma):
+    """Squared kernel distance between two meshes at scale ``sigma``, clamped at zero."""
+    return varifold_value_and_grad(a, VarifoldTarget(b, sigma))[0]

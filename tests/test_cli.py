@@ -9,6 +9,7 @@ from elsa import (
     LatentBasis,
     MetricCoefficients,
     OptimizerConfig,
+    VarifoldTarget,
     decode,
     load_mesh,
     save_basis,
@@ -569,6 +570,29 @@ def test_distance_normalization_kills_scale(workspace, capsys):
                 ws["target_path"], doubled) == 0
     printed = capsys.readouterr().out.strip().splitlines()[-1]
     assert float(printed) < 1e-7
+
+
+def test_distance_to_faceless_mesh_is_the_other_norm(workspace, capsys):
+    # a mesh with no faces has the zero varifold
+    ws = workspace
+    bare = ws["tmp"] / "nofaces.obj"
+    bare.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\n")
+    assert _run("distance", "--config", ws["cfg_path"], ws["target_path"], bare) == 0
+    printed = capsys.readouterr().out.strip().splitlines()[-1]
+    norm_sq = VarifoldTarget(load_mesh(ws["target_path"]), ws["cfg"].sigma).norm_sq
+    assert float(printed) == float(np.sqrt(norm_sq))
+
+
+def test_nonpositive_sigma_exit_2(workspace, capsys):
+    ws = workspace
+    path = ws["tmp"] / "sigma0.ini"
+    path.write_text("[varifold]\nsigma = 0\n")
+    capsys.readouterr()
+    assert _run("distance", "--config", path, "--output-dir", ws["tmp"] / "o",
+                ws["target_path"], ws["target_path"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "sigma must be positive" in err[0]
 
 
 def test_evaluate_csv(workspace):

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from elsa import (
-    TriangleMesh,
-    chamfer,
-    geodesic_correspondence_error,
-    hausdorff,
-    registered_mse,
-)
-from elsa.evaluation import EvalReport, evaluate_pair
+from scipy.spatial import cKDTree
+
+from elsa import TriangleMesh, registered_mse
+from elsa.evaluation import EvalReport, _geodesic_error, evaluate_pair
 from elsa.mesh import MeshError
 
 import synthetic as syn
@@ -37,18 +33,22 @@ def _brute_chamfer(a, b):
 
 def test_identical_meshes_all_zero():
     mesh = syn.icosphere(1)
-    assert hausdorff(mesh, mesh) == 0.0
-    assert chamfer(mesh, mesh) == 0.0
+    values = evaluate_pair(mesh, mesh).values
+    assert values["hausdorff"] == 0.0
+    assert values["chamfer"] == 0.0
     assert registered_mse(mesh, mesh) == 0.0
-    assert geodesic_correspondence_error(mesh, mesh) == 0.0
+    assert values["geodesic_error"] == 0.0
 
 
 def test_single_point_closed_forms():
     # degenerate single-point sets: a vertex with no faces is a valid mesh
     a = TriangleMesh(np.zeros((1, 3)), np.empty((0, 3), dtype=int))
     b = TriangleMesh([[1.0, 0.0, 0.0]], np.empty((0, 3), dtype=int))
-    assert hausdorff(a, b) == pytest.approx(1.0, rel=1e-14)
-    assert chamfer(a, b) == pytest.approx(2.0, rel=1e-14)
+    values = evaluate_pair(a, b, 0.3).values
+    assert values["hausdorff"] == pytest.approx(1.0, rel=1e-14)
+    assert values["chamfer"] == pytest.approx(2.0, rel=1e-14)
+    # no faces, so no varifold atoms: the varifold distance is zero
+    assert values["varifold"] == 0.0
 
 
 def test_hausdorff_chamfer_match_bruteforce():
@@ -56,16 +56,18 @@ def test_hausdorff_chamfer_match_bruteforce():
     for seed in range(10):
         a = syn.bumpy_mesh(30 + seed, seed=seed)
         b = syn.bumpy_mesh(25 + seed, seed=seed + 50)
-        assert hausdorff(a, b) == pytest.approx(_brute_hausdorff(a, b), abs=1e-12)
-        assert chamfer(a, b) == pytest.approx(_brute_chamfer(a, b), abs=1e-12)
+        values = evaluate_pair(a, b).values
+        assert values["hausdorff"] == pytest.approx(_brute_hausdorff(a, b), abs=1e-12)
+        assert values["chamfer"] == pytest.approx(_brute_chamfer(a, b), abs=1e-12)
 
 
 def test_symmetry_and_bound():
     a = syn.bumpy_mesh(40, seed=1)
     b = syn.bumpy_mesh(35, seed=2)
-    assert hausdorff(a, b) == hausdorff(b, a)
-    assert chamfer(a, b) == chamfer(b, a)
-    assert chamfer(a, b) <= 2.0 * hausdorff(a, b) + 1e-15
+    ab, ba = evaluate_pair(a, b).values, evaluate_pair(b, a).values
+    assert ab["hausdorff"] == ba["hausdorff"]
+    assert ab["chamfer"] == ba["chamfer"]
+    assert ab["chamfer"] <= 2.0 * ab["hausdorff"] + 1e-15
 
 
 def test_registered_mse_translation():
@@ -97,7 +99,7 @@ def test_geodesic_error_two_swapped_vertices_on_chain():
     # edge-graph distance between 0 and 4 along the spine is 4 in both
     # directions; averaged over all 9 vertices
     expected = (4.0 + 4.0) / truth.n_vertices
-    assert geodesic_correspondence_error(pred, truth) == pytest.approx(expected, rel=1e-12)
+    assert evaluate_pair(pred, truth).values["geodesic_error"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_geodesic_error_rigid_invariance():
@@ -106,11 +108,11 @@ def test_geodesic_error_rigid_invariance():
     pred = truth.with_vertices(
         truth.vertices + 0.02 * rng.standard_normal((truth.n_vertices, 3))
     )
-    base = geodesic_correspondence_error(pred, truth)
+    base = evaluate_pair(pred, truth).values["geodesic_error"]
     rot, shift = syn.rigid_motion(5)
     pred2 = pred.with_vertices(pred.vertices @ rot.T + shift)
     truth2 = truth.with_vertices(truth.vertices @ rot.T + shift)
-    assert geodesic_correspondence_error(pred2, truth2) == pytest.approx(base, rel=1e-10)
+    assert evaluate_pair(pred2, truth2).values["geodesic_error"] == pytest.approx(base, rel=1e-10)
 
 
 def test_geodesic_error_disconnected_truth():
@@ -121,7 +123,7 @@ def test_geodesic_error_disconnected_truth():
     pred_verts[0] = [5.1, 5.1, 5.0]  # snaps into the other component
     pred = TriangleMesh(pred_verts, faces)
     with pytest.raises(MeshError):
-        geodesic_correspondence_error(pred, truth)
+        evaluate_pair(pred, truth)
 
 
 def test_rigid_invariance_of_set_metrics():
@@ -130,8 +132,9 @@ def test_rigid_invariance_of_set_metrics():
     rot, shift = syn.rigid_motion(8)
     a2 = a.with_vertices(a.vertices @ rot.T + shift)
     b2 = b.with_vertices(b.vertices @ rot.T + shift)
-    assert hausdorff(a2, b2) == pytest.approx(hausdorff(a, b), rel=1e-10)
-    assert chamfer(a2, b2) == pytest.approx(chamfer(a, b), rel=1e-10)
+    moved, values = evaluate_pair(a2, b2).values, evaluate_pair(a, b).values
+    assert moved["hausdorff"] == pytest.approx(values["hausdorff"], rel=1e-10)
+    assert moved["chamfer"] == pytest.approx(values["chamfer"], rel=1e-10)
 
 
 def test_eval_report_validation():
@@ -142,11 +145,9 @@ def test_eval_report_validation():
 
 
 def test_evaluate_pair_contents():
-    from elsa import VarifoldConfig
-
     mesh = syn.icosphere(1)
     other = mesh.with_vertices(mesh.vertices * 1.02)
-    report = evaluate_pair(mesh, other, VarifoldConfig(0.2))
+    report = evaluate_pair(mesh, other, 0.2)
     assert set(report.values) == {"hausdorff", "chamfer", "varifold", "mse", "geodesic_error"}
     different = syn.icosphere(2)
     report2 = evaluate_pair(mesh, different)
@@ -169,6 +170,9 @@ def test_evaluate_pair_builds_two_kd_trees(monkeypatch):
     other = mesh.with_vertices(mesh.vertices[::-1])
     report = evaluate_pair(mesh, other)
     assert len(built) == 2
-    assert report.values["geodesic_error"] == geodesic_correspondence_error(mesh, other)
-    assert report.values["hausdorff"] == hausdorff(mesh, other)
-    assert report.values["chamfer"] == chamfer(mesh, other)
+    # the metrics as separate queries would form them, one tree per query
+    d_ab, snapped = cKDTree(other.vertices).query(mesh.vertices)
+    d_ba = cKDTree(mesh.vertices).query(other.vertices)[0]
+    assert report.values["geodesic_error"] == _geodesic_error(other, snapped)
+    assert report.values["hausdorff"] == float(max(d_ab.max(), d_ba.max()))
+    assert report.values["chamfer"] == float(d_ab.mean() + d_ba.mean())

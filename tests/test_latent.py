@@ -8,7 +8,7 @@ from elsa import (
     LatentBasis,
     MetricCoefficients,
     decode,
-    face_areas,
+    face_frames,
     gram,
     h2_inner,
     h2_inner_terms,
@@ -107,7 +107,7 @@ def test_gram_single_translation_field_closed_form():
     fields = np.tile(v, (1, template.n_vertices, 1))
     basis = LatentBasis(template=template, fields=fields, n_shape=1, n_pose=0)
     alpha = np.array([0.7])
-    area = face_areas(decode(basis, alpha)).sum()
+    area = face_frames(decode(basis, alpha)).area.sum()
     g = gram(basis, alpha, A0)
     assert g.shape == (1, 1)
     assert g[0, 0] == pytest.approx(float(v @ v) * area, rel=1e-12)

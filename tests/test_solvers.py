@@ -9,10 +9,9 @@ from elsa import (
     OptimizerConfig,
     SolveReport,
     SolverFailure,
-    VarifoldConfig,
     VarifoldTarget,
     decode,
-    face_areas,
+    face_frames,
     geodesic_bvp,
     geodesic_ivp,
     gram,
@@ -21,7 +20,6 @@ from elsa import (
     parametrized_geodesic,
     relaxed_geodesic,
     retrieve_latent,
-    varifold_norm_sq,
     varifold_sqdist,
 )
 from elsa import _diff, latent, metric, solvers
@@ -186,7 +184,7 @@ def test_retrieve_round_trip():
     alpha = 0.1 * rng.standard_normal(basis.dim)
     target = decode(basis, alpha)
     path, report = retrieve_latent(basis, target, BODY, FAST_SCHEDULE, time_steps=3)
-    norm = varifold_norm_sq(target, VarifoldConfig(FAST_SCHEDULE.stages[-1][0]))
+    norm = VarifoldTarget(target, FAST_SCHEDULE.stages[-1][0]).norm_sq
     assert report.details["varifold_sqdist"] < 1e-6 * norm
     # the interior knots are the geodesic to the retrieved code
     energy, grad = latent_path_energy_with_grad(basis, path, BODY)
@@ -202,7 +200,7 @@ def test_retrieve_permutation_invariant_objective():
     path_a, rep_a = retrieve_latent(basis, target, BODY, FAST_SCHEDULE, time_steps=3)
     path_b, rep_b = retrieve_latent(basis, shuffled, BODY, FAST_SCHEDULE, time_steps=3)
     assert np.max(np.abs(path_a - path_b)) < 1e-6 * max(1.0, np.max(np.abs(path_a)))
-    norm = varifold_norm_sq(target, VarifoldConfig(FAST_SCHEDULE.stages[-1][0]))
+    norm = VarifoldTarget(target, FAST_SCHEDULE.stages[-1][0]).norm_sq
     assert rep_b.details["varifold_sqdist"] < 1e-6 * norm
 
 
@@ -224,7 +222,7 @@ def test_relaxed_solvers_build_each_target_once_per_stage(monkeypatch):
     post_init = VarifoldTarget.__post_init__
 
     def counted(self):
-        built.append(self.config.sigma)
+        built.append(self.sigma)
         post_init(self)
 
     monkeypatch.setattr(VarifoldTarget, "__post_init__", counted)
@@ -328,9 +326,9 @@ def test_relaxed_round_trip_with_permuted_targets():
     q0, _ = syn.permute_mesh(decode(basis, alpha0), seed=15)
     q1, _ = syn.permute_mesh(decode(basis, alpha1), seed=16)
     path, report = relaxed_geodesic(basis, q0, q1, 3, BODY, FAST_SCHEDULE)
-    sig = VarifoldConfig(FAST_SCHEDULE.stages[-1][0])
-    assert report.details["gamma0"] < 1e-4 * varifold_norm_sq(q0, sig)
-    assert report.details["gamma1"] < 1e-4 * varifold_norm_sq(q1, sig)
+    sig = FAST_SCHEDULE.stages[-1][0]
+    assert report.details["gamma0"] < 1e-4 * VarifoldTarget(q0, sig).norm_sq
+    assert report.details["gamma1"] < 1e-4 * VarifoldTarget(q1, sig).norm_sq
 
 
 def test_relaxed_consistent_with_two_stage_pipeline():
@@ -720,7 +718,7 @@ def test_parametrized_translation_near_linear():
     path = parametrized_geodesic(mesh, target, 4, BODY, TIGHT)
     from elsa import path_energy
 
-    area = face_areas(mesh).sum()
+    area = face_frames(mesh).area.sum()
     expected = float(shift @ shift) * area
     got = path_energy(path, BODY)
     assert got <= expected * (1 + 1e-9)
@@ -739,7 +737,7 @@ def test_parametrized_translation_a0_only_upper_bound():
     path = parametrized_geodesic(mesh, target, 3, A0, OptimizerConfig(max_iterations=200))
     from elsa import path_energy
 
-    area = face_areas(mesh).sum()
+    area = face_frames(mesh).area.sum()
     assert path_energy(path, A0) <= float(shift @ shift) * area * (1 + 1e-10)
 
 
