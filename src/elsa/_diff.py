@@ -31,6 +31,15 @@ are read from :func:`mesh.face_frames`, the single source of per-face geometry.
 Every term is formed whatever its weight, with no branch on a zero weight:
 a zero weight multiplies its term's full work by zero, so a one-hot weight
 vector runs the presets' code.
+Per-face arrays cross function boundaries faces first, ``(M, ...)``, as
+:func:`mesh.face_frames` gives them.  Inside :func:`face_blocks`,
+:func:`trace_form`, :func:`face_terms` and the step energy, each per-face
+product is one ``np.einsum`` over contiguous faces-last copies
+(:func:`_faces_last`): edges and differentials ``(3, 2, M)``, inverse
+metrics ``(2, 2, M)`` and normals ``(3, M)``, so that its inner loop runs
+over adjacent faces; a stacked ``@`` pays tens of nanoseconds per 2x2 or
+3x2 matrix.  Only :func:`pair_blocks` keeps ``@``, whose
+``(M, 6, 6) @ (M, 6, P)`` product is large enough for BLAS.
 Gradients are assembled per face from a handful of adjoint channels (area,
 unit normal, edge matrix, vertex volume, cotangent weights) into one
 ``(M, 3, 2)`` edge-matrix adjoint, which :func:`edge_corners` and the one
@@ -61,7 +70,6 @@ from .mesh import (
     _OPPOSITE,
     DegenerateFaceError,
     cross,
-    face_cotangents,
     face_frames,
     scatter_corners,
 )
@@ -102,14 +110,15 @@ def normal_edge_grads(dq, n, s, g_n):
     return cross_edge_grads(dq, (g_n - n * _rowdot(n, g_n)[:, None]) / s[:, None])
 
 
-def cot_edge_grads(frames):
+def cot_edge_grads(geom):
     """Edge-matrix gradients ``(M, 3, 3, 2)`` of the three corner cotangents per face.
 
-    Corner ``k`` is column ``k`` of :func:`mesh.face_cotangents`: with
-    ``s = |e1 x e2|`` the cotangents are ``e1.e2 / s``, ``e1.(e1 - e2) / s``
-    and ``e2.(e2 - e1) / s``, and ``ds`` is the area channel's
-    ``[e2 x n, n x e1]``.
+    Corner ``k`` is column ``k`` of the geometry's cotangents
+    (:func:`mesh.face_cotangents`): with ``s = |e1 x e2|`` they are
+    ``e1.e2 / s``, ``e1.(e1 - e2) / s`` and ``e2.(e2 - e1) / s``, and ``ds``
+    is the area channel's ``[e2 x n, n x e1]``.
     """
+    frames = geom.frames
     e1 = frames.dq[:, :, 0]
     e2 = frames.dq[:, :, 1]
     s = 2.0 * frames.area
@@ -119,13 +128,12 @@ def cot_edge_grads(frames):
         np.stack([-e2, 2.0 * e2 - e1], axis=-1),
     ], axis=1)
     ds = cross_edge_grads(frames.dq, frames.n)
-    cot = face_cotangents(frames)
-    return (dnum - cot[:, :, None, None] * ds[:, None]) / s[:, None, None, None]
+    return (dnum - geom.cot[:, :, None, None] * ds[:, None]) / s[:, None, None, None]
 
 
-def cot_channel(frames, lam):
+def cot_channel(geom, lam):
     """Edge-matrix gradients of ``sum_{f, corner} lam(corner)[f] * cot(angle)``."""
-    dcot = cot_edge_grads(frames)
+    dcot = cot_edge_grads(geom)
     return sum(lam(corner)[:, None, None] * dcot[:, corner] for corner in range(3))
 
 
@@ -134,14 +142,9 @@ def _vertex_thirds(faces, g_vol):
     return (g_vol[faces[:, 0]] + g_vol[faces[:, 1]] + g_vol[faces[:, 2]]) / 3.0
 
 
-def _matvec(A, x):
-    """Products ``A x`` of ``(..., k, 2)`` matrices and ``(..., 2)`` vectors."""
-    return A[..., 0] * x[..., 0, None] + A[..., 1] * x[..., 1, None]
-
-
-def _columns_dot(A, y):
-    """Products ``A^T y`` of ``(..., 3, 2)`` matrices and ``(..., 3)`` vectors."""
-    return np.einsum("...kb,...k->...b", A, y)
+def _faces_last(a):
+    """A contiguous copy of ``a`` with its first (face) axis moved last."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
 
 
 def _dot3(a, b):
@@ -195,23 +198,27 @@ def _laplacian_lambda(faces, vol, u, lap_u, v, lap_v):
 def trace_form(G, X, Y, c, b):
     """Per-face ``c tr(G X G Y) + b tr(G X) tr(G Y)`` and its adjoint channels.
 
-    ``X`` and ``Y`` are symmetric ``(M, 2, 2)`` stacks and ``G`` the inverse
-    metric tensors; ``Y`` may carry leading axes, ``(..., M, 2, 2)``.  Returns
-    ``(value, Ax, Ay, S)``: ``value = tr(X Ax) = tr(Y Ay)`` per face, where
+    Faces last: ``X`` and ``Y`` are symmetric ``(2, 2, M)`` stacks and ``G``
+    the inverse metric tensors; ``Y`` may carry leading axes,
+    ``(..., 2, 2, M)``.  Returns ``(value, Ax, Ay, S)``:
+    ``value = tr(X Ax) = tr(Y Ay)`` per face, where
     ``Ax = c G Y G + b tr(G Y) G`` and ``Ay`` likewise from ``X``, and
     ``S = G (X Ax + Y Ay)`` is the inverse-metric channel, ``d(G) = -G d(g) G``.
     """
 
     def adjoint(GZ):
-        return c * (GZ @ G) + b * np.trace(GZ, axis1=-2, axis2=-1)[..., None, None] * G
+        tr = GZ[..., 0, 0, :] + GZ[..., 1, 1, :]
+        return c * np.einsum("...abm,bcm->...acm", GZ, G) + b * tr[..., None, None, :] * G
 
-    GX = G @ X
+    GX = np.einsum("abm,bcm->acm", G, X)
     if Y is X:
         Ax = Ay = adjoint(GX)
     else:
-        Ax, Ay = adjoint(G @ Y), adjoint(GX)
-    value = np.einsum("...ab,...ba->...", X, Ax)
-    return value, Ax, Ay, G @ (X @ Ax + Y @ Ay)
+        Ax, Ay = adjoint(np.einsum("abm,...bcm->...acm", G, Y)), adjoint(GX)
+    value = np.einsum("...abm,...bam->...m", X, Ax)
+    XY = np.einsum("abm,...bcm->...acm", X, Ax)
+    XY += np.einsum("...abm,bcm->...acm", Y, Ay)
+    return value, Ax, Ay, np.einsum("abm,...bcm->...acm", G, XY)
 
 
 def vertex_terms(geom, u, v, a0, a2):
@@ -250,23 +257,26 @@ def face_blocks(geom, coefficients):
                   + 2 a1 R_kd R_lb + 4 b1 R_kb R_ld) + (d1 / s) V_kb V_ld
 
     Each block is symmetric, and positive semidefinite for nonnegative
-    weights.  The algebra runs with the faces on the last axis; the result
-    is an ``(M, 6, 6)`` view of it.
+    weights.  Each term is one einsum over contiguous faces-last copies of
+    the edges, inverse metrics and normals, and each entry one product
+    taken in a fixed order, so the blocks do not depend on how the faces
+    are batched.  The result is an ``(M, 6, 6)`` view of the contiguous
+    ``(6, 6, M)`` blocks, whose ``transpose(1, 2, 0)`` is that array.
     """
     fr = geom.frames
     _, a1, b1, c1, d1, _ = coefficients.as_array()
     area = fr.area
-    e = fr.dq.transpose(1, 2, 0)  # (3, 2, M)
-    G = geom.ginv.transpose(1, 2, 0)  # (2, 2, M)
-    n = fr.n.T
+    e = _faces_last(fr.dq)  # (3, 2, M)
+    G = _faces_last(geom.ginv)  # (2, 2, M)
+    n = _faces_last(fr.n)  # (3, M)
     normal = ((c1 - 2.0 * a1) * area) * (n[:, None] * n[None])  # (3, 3, M)
     normal[[0, 1, 2], [0, 1, 2]] += 2.0 * a1 * area
     R = e[:, 0, None] * G[0] + e[:, 1, None] * G[1]  # (3, 2, M)
     V = np.stack([-e[:, 1], e[:, 0]], axis=1)
-    Q = normal[:, None, :, None] * G[None, :, None, :]  # (k, b, l, d, M)
-    Q += (2.0 * a1 * area) * R[:, None, None, :] * R.transpose(1, 0, 2)[None, :, :, None]
-    Q += (4.0 * b1 * area) * R[:, :, None, None] * R
-    Q += (d1 / (2.0 * area)) * V[:, :, None, None] * V
+    Q = np.einsum("klm,bdm->kbldm", normal, G)  # (k, b, l, d, M)
+    Q += np.einsum("kdm,lbm->kbldm", (2.0 * a1 * area) * R, R)
+    Q += np.einsum("kbm,ldm->kbldm", (4.0 * b1 * area) * R, R)
+    Q += np.einsum("kbm,ldm->kbldm", (d1 / (2.0 * area)) * V, V)
     return Q.reshape(6, 6, -1).transpose(2, 0, 1)
 
 
@@ -292,50 +302,59 @@ def face_terms(geom, du, dv, coefficients):
     the normal components ``z = dh^T n`` as ``c1 area z_u^T G z_v``.  Returns
     ``(g_dq, g_area)``, the adjoints of the edge matrices and of the face
     areas, shaped like ``dv`` and ``dv[..., 0, 0]``; both are linear in ``dv``.
+    The algebra runs on faces-last copies, and ``g_dq`` is a view of its
+    contiguous ``(..., 3, 2, M)`` array.
     """
     fr = geom.frames
-    dq = fr.dq
-    n = fr.n
     area = fr.area
     s = 2.0 * area
-    G = geom.ginv
+    e = _faces_last(fr.dq)  # (3, 2, M)
+    n = _faces_last(fr.n)  # (3, M)
+    G = _faces_last(geom.ginv)  # (2, 2, M)
     _, a1, b1, c1, d1, _ = coefficients.as_array()
     same = dv is du
+    hu = _faces_last(du)
+    hv = hu if same else _faces_last(np.moveaxis(dv, -3, 0))  # (..., 3, 2, M)
 
-    pu = dq.swapaxes(1, 2) @ du
-    pv = pu if same else dq.swapaxes(1, 2) @ dv
-    X = pu + pu.swapaxes(-1, -2)
-    Y = X if same else pv + pv.swapaxes(-1, -2)
+    pu = np.einsum("kam,kbm->abm", e, hu)
+    pv = pu if same else np.einsum("kam,...kbm->...abm", e, hv)
+    X = pu + pu.swapaxes(0, 1)
+    Y = X if same else pv + pv.swapaxes(-3, -2)
     g_area, Ax, Ay, S = trace_form(G, X, Y, a1, b1)
     del X, Y
-    g_dq = du @ Ax  # s (du Ax + dv Ay - dq S), one (..., M, 3, 2) temporary at a time
-    g_dq += dv @ Ay
-    g_dq -= dq @ S
-    g_dq *= s[:, None, None]
+    # s (du Ax + dv Ay - dq S), one (..., 3, 2, M) temporary at a time
+    g_dq = np.einsum("kam,...abm->...kbm", hu, Ax)
+    g_dq += np.einsum("...kam,abm->...kbm", hv, Ay)
+    g_dq -= np.einsum("kam,...abm->...kbm", e, S)
+    g_dq *= s
     del Ax, Ay, S
 
     # d1: x varies with the edges as [dh_1, -dh_0]
-    xu = pu[:, 0, 1] - pu[:, 1, 0]
-    xv = xu if same else pv[..., 0, 1] - pv[..., 1, 0]
+    xu = pu[0, 1] - pu[1, 0]
+    xv = xu if same else pv[..., 0, 1, :] - pv[..., 1, 0, :]
     del pu, pv
     g_area -= (2.0 * d1 / s**2) * xu * xv
-    rot = (d1 / s)[:, None]
-    g_dq[..., 0] += rot * (xv[..., None] * du[..., 1] + xu[:, None] * dv[..., 1])
-    g_dq[..., 1] -= rot * (xv[..., None] * du[..., 0] + xu[:, None] * dv[..., 0])
+    rot = d1 / s
+    xv3 = xv[..., None, :]
+    g_dq[..., 0, :] += rot * (xv3 * hu[:, 1] + xu * hv[..., 1, :])
+    g_dq[..., 1, :] -= rot * (xv3 * hu[:, 0] + xu * hv[..., 0, :])
 
     # c1: along an edge variation E, G varies as -G (E^T dq + dq^T E) G and n
     # as -dq G E^T n; with a = G z_u and b = G z_v the edge adjoint is
     # -c1 area (dq b a^T + dq a b^T + n m^T) for m = G dq^T (du b + dv a)
-    zu = _columns_dot(du, n)
-    a = _matvec(G, zu)
-    b = a if same else _matvec(G, _columns_dot(dv, n))
-    g_area += c1 * _rowdot(zu, b)
-    qa, qb = _matvec(dq, a), _matvec(dq, b)
-    m = _matvec(G, _columns_dot(dq, _matvec(du, b) + _matvec(dv, a)))
-    c = (c1 * area)[:, None]
+    zu = np.einsum("kam,km->am", hu, n)
+    a = np.einsum("abm,bm->am", G, zu)
+    b = a if same else np.einsum("abm,...bm->...am", G, np.einsum("...kam,km->...am", hv, n))
+    g_area += c1 * np.einsum("am,...am->...m", zu, b)
+    qa = np.einsum("kam,am->km", e, a)
+    qb = np.einsum("kam,...am->...km", e, b)
+    w = np.einsum("kam,...am->...km", hu, b)
+    w += np.einsum("...kam,am->...km", hv, a)
+    m = np.einsum("abm,...bm->...am", G, np.einsum("kam,...km->...am", e, w))
+    c = c1 * area
     for k in range(2):
-        g_dq[..., k] -= c * (qb * a[..., k, None] + qa * b[..., k, None] + n * m[..., k, None])
-    return g_dq, g_area
+        g_dq[..., k, :] -= c * (qb * a[k] + qa * b[..., None, k, :] + n * m[..., None, k, :])
+    return np.moveaxis(g_dq, -1, -3), g_area
 
 
 def h2_vertex_gradient(geom, u, v, coefficients):
@@ -356,7 +375,7 @@ def h2_vertex_gradient(geom, u, v, coefficients):
     dv = du if v is u else _field_differential(F, v)
     g_dq, g_area = face_terms(geom, du, dv, coefficients)
     g_vol, _, lam = vertex_terms(geom, u, v, coefficients.a0, coefficients.a2)
-    g_dq += cot_channel(fr, lam)
+    g_dq += cot_channel(geom, lam)
     # vertex volumes distribute one third of each incident area
     g_area += _vertex_thirds(F, g_vol)
     g_dq += area_edge_grads(fr.dq, fr.n, g_area)
@@ -390,25 +409,27 @@ def h2_gradient_pairing(geom, fields, df, b, coefficients):
     fr = geom.frames
     M = len(fr)
     P = len(fields)
-    unit = np.broadcast_to(np.eye(6).reshape(6, 1, 3, 2), (6, M, 3, 2))
+    unit = np.broadcast_to(np.eye(6).reshape(6, 3, 2, 1), (6, 3, 2, M))  # faces last
 
     # the temporaries are dropped as soon as they are used, so that the pair
     # product holds no more than the blocks and their product with df
-    g_dq, g_area = face_terms(geom, (df @ b).reshape(M, 3, 2), unit, coefficients)
+    g_dq, g_area = face_terms(geom, (df.reshape(6 * M, P) @ b).reshape(M, 3, 2),
+                              np.moveaxis(unit, -1, 1), coefficients)
     g_dq += area_edge_grads(fr.dq, fr.n, g_area)
     del g_area
-    out = pair_blocks(df, g_dq.reshape(6, M, 6).transpose(1, 2, 0))  # B_f, (M, 6, 6)
+    # B_f[r, j] is entry r of field j's adjoint, read off the contiguous (6, 3, 2, M) array
+    out = pair_blocks(df, np.moveaxis(g_dq, 1, -1).reshape(6, 6, M).transpose(2, 1, 0))
     del g_dq
     u = np.tensordot(b, fields, axes=1)
     fv = fields.transpose(1, 2, 0)  # (N, 3, P)
     density, _, lam = vertex_terms(geom, u, fv, coefficients.a0, coefficients.a2)
-    darea = area_edge_grads(fr.dq, fr.n, np.ones(M)).reshape(M, 1, 6) @ df
-    out += darea.reshape(M, P).T @ _vertex_thirds(F, density)
+    darea = np.einsum("mr,mrp->pm", area_edge_grads(fr.dq, fr.n, np.ones(M)).reshape(M, 6), df)
+    out += darea @ _vertex_thirds(F, density)
     del density, darea
-    dcot = cot_edge_grads(fr).reshape(M, 3, 6)
+    dcot = cot_edge_grads(geom).reshape(M, 3, 6)
     for corner in range(3):
         lam_c = lam(corner)
-        out += (dcot[:, corner, None] @ df).reshape(M, P).T @ lam_c
+        out += np.einsum("mr,mrp->pm", dcot[:, corner], df) @ lam_c
         del lam_c
     return out
 
@@ -443,32 +464,37 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
     fr_r = face_frames(mesh.with_vertices(right_vertices, validate=False))
     dr = fr_r.dq
 
-    # dr^T dr - dq^T dq = (dq^T du + du^T dq) + du^T du changes by dr^T e + e^T dr
-    # along a variation e of dr, and by -(dq^T e + e^T dq) along one of dq
-    pu = dq.swapaxes(1, 2) @ du
-    X = pu + pu.swapaxes(1, 2) + du.swapaxes(1, 2) @ du
-    g_area, Ax, _, S = trace_form(geom_left.ginv, X, X, a1, b1)
+    # dr^T dr - dq^T dq = (dq^T du + du^T dq) + du^T du changes by dr^T E + E^T dr
+    # along a variation E of dr, and by -(dq^T E + E^T dq) along one of dq;
+    # the algebra runs on faces-last copies
+    e, h, r = _faces_last(dq), _faces_last(du), _faces_last(dr)
+    pu = np.einsum("kam,kbm->abm", e, h)
+    X = pu + pu.swapaxes(0, 1)
+    X += np.einsum("kam,kbm->abm", h, h)
+    g_area, Ax, _, S = trace_form(_faces_last(geom_left.ginv), X, X, a1, b1)
     value = float(g_area @ area)
-    g_dq = -s[:, None, None] * (dq @ (2.0 * Ax + S))
-    g_dr = (2.0 * s)[:, None, None] * (dr @ Ax)
+    g_e = np.einsum("kam,abm->kbm", e, 2.0 * Ax + S)
+    g_e *= -s
+    g_r = np.einsum("kam,abm->kbm", r, Ax)
+    g_r *= 2.0 * s
 
     # the rotation x = e1.dr_1 - e2.dr_0 = e1.du_1 - e2.du_0 gives the term
     # d1 x^2 / s; x varies as [dr_1, -dr_0] with dq and as [-e2, e1] with dr
-    x = pu[:, 0, 1] - pu[:, 1, 0]
+    x = pu[0, 1] - pu[1, 0]
     rot = 2.0 * d1 * x / s  # adjoint of x
     value += 0.5 * float(rot @ x)
     g_area -= rot * x / s
-    rot = rot[:, None]
-    g_dq[:, :, 0] += rot * dr[:, :, 1]
-    g_dq[:, :, 1] -= rot * dr[:, :, 0]
-    g_dr[:, :, 0] -= rot * dq[:, :, 1]
-    g_dr[:, :, 1] += rot * dq[:, :, 0]
+    g_e[:, 0] += rot * r[:, 1]
+    g_e[:, 1] -= rot * r[:, 0]
+    g_r[:, 0] -= rot * e[:, 1]
+    g_r[:, 1] += rot * e[:, 0]
+    g_dq, g_dr = np.moveaxis(g_e, -1, 0), np.moveaxis(g_r, -1, 0)
 
     g_vol, lap_u, lam = vertex_terms(geom_left, u, u, a0, a2)
     value += float(g_vol @ vol)
     grad_r = (2.0 * a0) * vol[:, None] * u
     grad_r += (2.0 * a2) * (geom_left.lap @ (vol[:, None] * lap_u))
-    g_dq += cot_channel(fr, lam)
+    g_dq += cot_channel(geom_left, lam)
 
     dn = fr_r.n - n
     value += c1 * float(_rowdot(dn, dn) @ area)

@@ -197,7 +197,8 @@ def _knot_pass(basis, path, coefficients):
     ``(T, P)`` products ``G(alpha_t) d_t``.  Each product reads ``u`` as
     :func:`gram` reads the fields: the face-local terms as
     ``df^T (Q_f (df d))`` with the 6x6 blocks of :func:`_diff.face_blocks`,
-    a0 as ``H^T (vol u)`` and a2 as ``H^T L^T (vol L u)``.
+    applied in their contiguous faces-last layout, a0 as ``H^T (vol u)`` and
+    a2 as ``H^T L^T (vol L u)``.
     """
     path = _check_path(basis, path)
     d = np.diff(path, axis=0)
@@ -209,8 +210,8 @@ def _knot_pass(basis, path, coefficients):
                            template.faces)
     u = np.tensordot(d, basis.fields, axes=1).reshape(T * N, 3)
     df = basis.differentials.reshape(6 * M, P)
-    du = (df @ d.T).T.reshape(T * M, 6)  # union face order: knot-major
-    qdu = np.einsum("fij,fj->fi", face_blocks(geom, coefficients), du)
+    du = np.ascontiguousarray((df @ d.T).T.reshape(T * M, 6).T)  # (6, T M), knot-major faces
+    qdu = np.einsum("ijf,jf->fi", face_blocks(geom, coefficients).transpose(1, 2, 0), du)
     gd = qdu.reshape(T, 6 * M) @ df
     del du, qdu
     vol = geom.vol[:, None]

@@ -317,15 +317,18 @@ def cotan_laplacian(mesh):
     entries hold at most two terms, so they equal a COO assembly exactly;
     diagonal sums of more terms may differ from one in the last bits.
     """
-    return _union_laplacian(mesh, face_frames(mesh), 1)
+    return _union_laplacian(mesh, face_cotangents(face_frames(mesh)), 1)
 
 
-def _union_laplacian(mesh, frames, copies):
-    """:func:`cotan_laplacian` of ``mesh``, a union of ``copies`` copies of its first faces."""
+def _union_laplacian(mesh, cot, copies):
+    """:func:`cotan_laplacian` of ``mesh``, a union of ``copies`` copies of its first faces.
+
+    ``cot`` holds the :func:`face_cotangents` of the mesh.
+    """
     n = mesh.n_vertices
     template = mesh.faces[: mesh.n_faces // copies]
     indptr, indices, slots = _laplacian_pattern(template.tobytes(), n // copies, copies)
-    weights = np.multiply.outer(_ENTRY_SIGNS, face_cotangents(frames)).ravel()
+    weights = np.multiply.outer(_ENTRY_SIGNS, cot).ravel()
     data = np.bincount(slots, weights=weights, minlength=len(indices))
     return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 

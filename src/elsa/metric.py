@@ -43,6 +43,7 @@ from .mesh import (
     _check_field,
     _union_laplacian,
     cross,
+    face_cotangents,
     face_frames,
     vertex_volumes,
 )
@@ -120,6 +121,7 @@ class _MeshGeometry:
     frames: object
     ginv: np.ndarray
     vol: np.ndarray
+    cot: np.ndarray  # (M, 3) corner cotangents, the Laplacian's weights
     lap: object  # sparse cotangent Laplacian
 
 
@@ -150,12 +152,14 @@ def _inverse_2x2(g):
 def _geometry(mesh, copies=1):
     """The metric's quantities on ``mesh``, a union of ``copies`` copies of one template."""
     frames = face_frames(mesh)
+    cot = face_cotangents(frames)
     return _MeshGeometry(
         mesh=mesh,
         frames=frames,
         ginv=_inverse_2x2(frames.g),
         vol=vertex_volumes(mesh, areas=frames.area),
-        lap=_union_laplacian(mesh, frames, copies),
+        cot=cot,
+        lap=_union_laplacian(mesh, cot, copies),
     )
 
 
@@ -204,6 +208,7 @@ def _union_tail(geom, n_copies, start):
         frames=FaceFrames(**{f.name: getattr(fr, f.name)[m0:] for f in fields(FaceFrames)}),
         ginv=geom.ginv[m0:],
         vol=geom.vol[n0:],
+        cot=geom.cot[m0:],
         lap=geom.lap[n0:, n0:],
     )
 

@@ -260,6 +260,47 @@ def test_face_blocks_symmetric_positive_semidefinite(mesh):
     assert np.einsum("mi,mij,mj->", dh, blocks, dk) == pytest.approx(expected, rel=1e-12)
 
 
+FACE_WEIGHTS = {
+    "body": MetricCoefficients(0.0, BODY.a1, BODY.b1, BODY.c1, BODY.d1, 0.0),
+    **{label: ONE_HOTS[i] for i, label in enumerate(LABELS) if label in ("a1", "b1", "c1", "d1")},
+}
+
+
+@pytest.mark.parametrize("coeffs", FACE_WEIGHTS.values(), ids=FACE_WEIGHTS.keys())
+def test_face_blocks_match_h2_inner_on_unit_differentials(coeffs):
+    # on one triangle with h0 = 0, unit differential r (row-major over the
+    # (3, 2) edge matrix) is the field moving vertex 1 + r % 2 along axis
+    # r // 2, so block entry (i, j) is the analytic form of fields i and j;
+    # an index order that keeps the blocks symmetric but swaps (k, b) and
+    # (l, d) breaks this
+    tri = TriangleMesh(np.array([[0.1, -0.2, 0.3], [1.2, 0.1, -0.1], [0.3, 0.9, 0.4]]),
+                       np.array([[0, 1, 2]]))
+    fields = np.zeros((6, 3, 3))
+    for r in range(6):
+        fields[r, 1 + r % 2, r // 2] = 1.0
+    block = face_blocks(_geometry(tri), coeffs)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = np.array([[h2_inner(tri, hi, hj, coeffs) for hj in fields] for hi in fields])
+    assert np.max(np.abs(block - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_face_terms_stacked_field_equals_separate_calls():
+    # the shooting Jacobian passes its six unit differentials as one leading
+    # axis of the second field; each slice must be that field's own call
+    mesh = syn.bumpy_mesh(35, seed=6, bump=0.05)
+    geom = _geometry(mesh)
+    rng = np.random.default_rng(600)
+    du = _field_differential(mesh.faces, 0.3 * rng.standard_normal(mesh.vertices.shape))
+    dv = _field_differential(mesh.faces, 0.3 * rng.standard_normal((4,) + mesh.vertices.shape))
+    g_dq, g_area = _diff.face_terms(geom, du, dv, BODY)
+    assert g_dq.shape == dv.shape and g_area.shape == dv.shape[:2]
+    for k in range(len(dv)):
+        one_dq, one_area = _diff.face_terms(geom, du, dv[k], BODY)
+        assert np.array_equal(g_dq[k], one_dq)
+        assert np.array_equal(g_area[k], one_area)
+
+
 def test_h2_vertex_gradient_same_field_equals_copy():
     # v is u reuses the first field's differential, symmetric part, rotation
     # and normal components; the result must not depend on that shortcut
