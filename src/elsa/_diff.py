@@ -41,9 +41,11 @@ over adjacent faces; a stacked ``@`` pays tens of nanoseconds per 2x2 or
 3x2 matrix.  Only :func:`pair_blocks` keeps ``@``, whose
 ``(M, 6, 6) @ (M, 6, P)`` product is large enough for BLAS.
 Gradients are assembled per face from a handful of adjoint channels (area,
-unit normal, edge matrix, vertex volume, cotangent weights) into one
-``(M, 3, 2)`` edge-matrix adjoint, which :func:`edge_corners` and the one
-scatter, :func:`mesh.scatter_corners`, sum onto the vertices.
+unit normal, edge matrix, vertex volume) into one ``(M, 3, 2)`` edge-matrix
+adjoint, which :func:`edge_corners` and the one scatter,
+:func:`mesh.scatter_corners`, sum onto the vertices; the a2 term's cotangent
+adjoints (:func:`corner_adjoints`) fold into the edge and area adjoints in
+closed form (:func:`cot_adjoints`).
 
 Stacks of fields meet the metric through per-face 6x6 blocks paired with
 their cached per-face differentials (:func:`pair_blocks`,
@@ -110,31 +112,49 @@ def normal_edge_grads(dq, n, s, g_n):
     return cross_edge_grads(dq, (g_n - n * _rowdot(n, g_n)[:, None]) / s[:, None])
 
 
-def cot_edge_grads(geom):
-    """Edge-matrix gradients ``(M, 3, 3, 2)`` of the three corner cotangents per face.
+def cot_adjoints(geom, lam):
+    """Edge and area adjoints of ``sum_{f, corner} lam[f, corner] * cot(angle)``.
 
-    Corner ``k`` is column ``k`` of the geometry's cotangents
-    (:func:`mesh.face_cotangents`): with ``s = |e1 x e2|`` they are
-    ``e1.e2 / s``, ``e1.(e1 - e2) / s`` and ``e2.(e2 - e1) / s``, and ``ds``
-    is the area channel's ``[e2 x n, n x e1]``.
+    The cotangents (:func:`mesh.face_cotangents`) are ``e1.e2 / s``,
+    ``e1.(e1 - e2) / s`` and ``e2.(e2 - e1) / s`` for ``s = 2 area``: their
+    numerators vary with the edges as ``dq Lam``, ``Lam = [[2 l1, off], [off,
+    2 l2]]`` with ``off = l0 - l1 - l2``, and ``s`` gives the area adjoint
+    ``-2 sum_k l_k cot_k / s``.  ``lam`` may carry leading axes, ``(..., M, 3)``;
+    returns ``(g_dq, g_area)`` shaped ``(..., M, 3, 2)`` and ``(..., M)``.
     """
-    frames = geom.frames
-    e1 = frames.dq[:, :, 0]
-    e2 = frames.dq[:, :, 1]
-    s = 2.0 * frames.area
-    dnum = np.stack([
-        np.stack([e2, e1], axis=-1),
-        np.stack([2.0 * e1 - e2, -e1], axis=-1),
-        np.stack([-e2, 2.0 * e2 - e1], axis=-1),
-    ], axis=1)
-    ds = cross_edge_grads(frames.dq, frames.n)
-    return (dnum - geom.cot[:, :, None, None] * ds[:, None]) / s[:, None, None, None]
+    fr = geom.frames
+    ls = np.moveaxis(lam, -1, -2) / (2.0 * fr.area)  # (..., 3, M)
+    l0, l1, l2 = ls[..., 0, :], ls[..., 1, :], ls[..., 2, :]
+    off = l0 - l1 - l2
+    Lam = np.stack([np.stack([2.0 * l1, off], -2), np.stack([off, 2.0 * l2], -2)], -3)
+    g_dq = np.einsum("kam,...abm->...kbm", _faces_last(fr.dq), Lam)
+    g_area = np.einsum("...km,mk->...m", ls, geom.cot)
+    g_area *= -2.0
+    return np.moveaxis(g_dq, -1, -3), g_area
 
 
-def cot_channel(geom, lam):
-    """Edge-matrix gradients of ``sum_{f, corner} lam(corner)[f] * cot(angle)``."""
-    dcot = cot_edge_grads(geom)
-    return sum(lam(corner)[:, None, None] * dcot[:, corner] for corner in range(3))
+#: corner k's opposite-edge difference ``h_i - h_j``, ``(i, j) = _OPPOSITE[k]``,
+#: as a combination of the differential's columns: dh_0 - dh_1, dh_1 and -dh_0
+_CORNER_EDGES = np.array([[1.0, -1.0], [0.0, 1.0], [-1.0, 0.0]])
+
+
+def _corner_edges(dh):
+    """The corners' opposite-edge differences ``(3, M, 3)`` of differentials ``(M, 3, 2)``."""
+    return np.tensordot(_CORNER_EDGES, dh, axes=(1, 2))
+
+
+def corner_adjoints(du, dwv, dv, dwu):
+    """Adjoints ``(M, 3)`` of the corner cotangents in the a2 term of ``G_q(u, v)``.
+
+    Corner ``k``, opposite the edge ``(i, j)``, has ``(u_i - u_j).(wv_i - wv_j)
+    + (v_i - v_j).(wu_i - wu_j)`` for ``wu = a2 vol L u`` and ``wv`` likewise,
+    read off the differentials of ``u, wv, v, wu`` (:func:`_corner_edges`)
+    without a gather; with ``dv is du`` and ``dwu is dwv`` the terms are one.
+    """
+    lam = np.einsum("cmk,cmk->mc", _corner_edges(du), _corner_edges(dwv))
+    same = dv is du and dwu is dwv
+    lam += lam if same else np.einsum("cmk,cmk->mc", _corner_edges(dv), _corner_edges(dwu))
+    return lam
 
 
 def _vertex_thirds(faces, g_vol):
@@ -150,49 +170,6 @@ def _faces_last(a):
 def _dot3(a, b):
     """Dot products over the coordinate axis of ``(K, 3, ...)`` arrays."""
     return np.einsum("ic...,ic...->i...", a, b)
-
-
-def _edge_diff(x, i, j):
-    """Rows ``x[i] - x[j]``, with one gathered temporary."""
-    d = x[i]
-    d -= x[j]
-    return d
-
-
-def _laplacian_lambda(faces, vol, u, lap_u, v, lap_v):
-    """Adjoints of the corner cotangents for the a2 term, as a function of the corner.
-
-    Corner ``k`` owns the cotangent feeding edge ``(i, j)``; its adjoint is
-    ``(u_i - u_j).(vol_i (Lv)_i - vol_j (Lv)_j)`` plus the ``u <-> v`` term,
-    which is the same term again when ``v is u``.  ``v`` and ``lap_v`` may
-    carry trailing axes, ``(N, 3, ...)``.  The returned function gives one
-    corner's ``(M, ...)`` adjoint, summed one coordinate at a time, so no
-    ``(M, 3, ...)`` gather is held.
-    """
-    trail = (1,) * (v.ndim - 2)
-    vol_v = vol.reshape((-1,) + trail)
-    wu = vol[:, None] * lap_u
-
-    def corner_lambda(corner):
-        i, j = (faces[:, c] for c in _OPPOSITE[corner])
-        du = _edge_diff(u, i, j).reshape((-1, 3) + trail)
-        dwu = None if v is u else _edge_diff(wu, i, j).reshape((-1, 3) + trail)
-        lam = 0.0
-        for k in range(3):
-            t = _edge_diff(vol_v * lap_v[:, k], i, j)
-            t *= du[:, k]
-            if v is u:
-                t += t
-            else:
-                d = _edge_diff(v[:, k], i, j)
-                d *= dwu[:, k]
-                t += d
-                del d
-            lam += t
-            del t
-        return lam
-
-    return corner_lambda
 
 
 def trace_form(G, X, Y, c, b):
@@ -225,20 +202,17 @@ def vertex_terms(geom, u, v, a0, a2):
     """The a0 and a2 terms of ``G_q(u, v)`` as a per-vertex density.
 
     ``v`` may carry trailing axes, ``(N, 3, ...)``, over which the results
-    broadcast.  Returns ``(density, lap_v, lam)``: the terms sum to
+    broadcast.  Returns ``(density, lap_v)``: the terms sum to
     ``density @ vol``, so the density is also the adjoint of the vertex
-    volumes; ``lap_v`` is the Laplacian of ``v``, and ``lam(corner)`` the
-    a2 term's ``(M, ...)`` adjoint of that corner's cotangents
-    (:func:`cot_edge_grads`), formed on each call.  Both terms are always
-    formed; a zero weight multiplies its term by zero.
+    volumes, and ``lap_v`` is the Laplacian of ``v``.  The a2 term's
+    cotangent adjoints are the callers' (:func:`corner_adjoints`).  Both
+    terms are always formed; a zero weight multiplies its term by zero.
     """
     lap_v = (geom.lap @ v.reshape(len(v), -1)).reshape(v.shape)
     lap_u = lap_v if v is u else geom.lap @ u
     density = a0 * _dot3(u, v)
     density += a2 * _dot3(lap_u, lap_v)
-    # the adjoints are linear in the vertex volumes, which carry the weight
-    lam = _laplacian_lambda(geom.mesh.faces, a2 * geom.vol, u, lap_u, v, lap_v)
-    return density, lap_v, lam
+    return density, lap_v
 
 
 def face_blocks(geom, coefficients):
@@ -374,8 +348,13 @@ def h2_vertex_gradient(geom, u, v, coefficients):
     du = _field_differential(F, u)
     dv = du if v is u else _field_differential(F, v)
     g_dq, g_area = face_terms(geom, du, dv, coefficients)
-    g_vol, _, lam = vertex_terms(geom, u, v, coefficients.a0, coefficients.a2)
-    g_dq += cot_channel(geom, lam)
+    g_vol, lap_v = vertex_terms(geom, u, v, coefficients.a0, coefficients.a2)
+    weight = coefficients.a2 * geom.vol[:, None]
+    dwv = _field_differential(F, weight * lap_v)
+    dwu = dwv if v is u else _field_differential(F, weight * (geom.lap @ u))
+    g_cot, g_area_cot = cot_adjoints(geom, corner_adjoints(du, dwv, dv, dwu))
+    g_dq += g_cot
+    g_area += g_area_cot
     # vertex volumes distribute one third of each incident area
     g_area += _vertex_thirds(F, g_vol)
     g_dq += area_edge_grads(fr.dq, fr.n, g_area)
@@ -401,9 +380,10 @@ def h2_gradient_pairing(geom, fields, df, b, coefficients):
       the Gram's ``sum_f df_i^T Q_f df_j``;
     * the a0/a2 density enters through the vertex-volume thirds, paired with
       the area derivatives ``darea_i``;
-    * the a2 cotangent channel pairs ``lam_j`` with the cotangent
-      derivatives ``dcot_i``, one face corner at a time, after one sparse
-      product ``L f``.
+    * the a2 cotangent channel pairs each corner's edge rows (:func:`cot_adjoints`
+      at a unit adjoint) with ``lam_j``, one corner and ``(M, P)`` array at a
+      time: ``lam_j`` reads the corner differences of ``f_j`` off ``df`` and
+      gathers those of ``a2 vol L f_j`` one coordinate at a time.
     """
     F = geom.mesh.faces
     fr = geom.frames
@@ -421,16 +401,30 @@ def h2_gradient_pairing(geom, fields, df, b, coefficients):
     out = pair_blocks(df, np.moveaxis(g_dq, 1, -1).reshape(6, 6, M).transpose(2, 1, 0))
     del g_dq
     u = np.tensordot(b, fields, axes=1)
-    fv = fields.transpose(1, 2, 0)  # (N, 3, P)
-    density, _, lam = vertex_terms(geom, u, fv, coefficients.a0, coefficients.a2)
+    density, lap_f = vertex_terms(geom, u, fields.transpose(1, 2, 0), coefficients.a0,
+                                  coefficients.a2)
     darea = np.einsum("mr,mrp->pm", area_edge_grads(fr.dq, fr.n, np.ones(M)).reshape(M, 6), df)
     out += darea @ _vertex_thirds(F, density)
     del density, darea
-    dcot = cot_edge_grads(geom).reshape(M, 3, 6)
-    for corner in range(3):
-        lam_c = lam(corner)
-        out += np.einsum("mr,mrp->pm", dcot[:, corner], df) @ lam_c
-        del lam_c
+    # corner c's adjoint for f_j is (w_i - w_k).du_c + (f_j,i - f_j,k).dw_c on
+    # its opposite edge (i, k), for w = a2 vol L f_j and dw that of a2 vol L u
+    weight = coefficients.a2 * geom.vol
+    lap_f *= weight[:, None, None]
+    w = np.ascontiguousarray(np.moveaxis(lap_f, 1, 0))  # (3, N, P)
+    del lap_f
+    du = _corner_edges(_field_differential(F, u))
+    dw = _corner_edges(_field_differential(F, weight[:, None] * (geom.lap @ u)))
+    coef = (_CORNER_EDGES[:, None, None, :] * dw[..., None]).reshape(3, M, 6)  # on df's rows
+    g_cot, g_area = cot_adjoints(geom, np.broadcast_to(np.eye(3)[:, None], (3, M, 3)))
+    rows = (g_cot + area_edge_grads(fr.dq, fr.n, g_area)).reshape(3, M, 6)
+    for c, (i, k) in enumerate(_OPPOSITE):
+        lam = np.einsum("mr,mrp->mp", coef[c], df)
+        for x in range(3):
+            d = w[x].take(F[:, i], axis=0)
+            d -= w[x].take(F[:, k], axis=0)
+            d *= du[c, :, x, None]
+            lam += d
+        out += np.einsum("mr,mrp->pm", rows[c], df) @ lam
     return out
 
 
@@ -490,11 +484,15 @@ def step_energy_discrete_with_grads(geom_left, right_vertices, coefficients):
     g_r[:, 1] += rot * e[:, 0]
     g_dq, g_dr = np.moveaxis(g_e, -1, 0), np.moveaxis(g_r, -1, 0)
 
-    g_vol, lap_u, lam = vertex_terms(geom_left, u, u, a0, a2)
+    g_vol, lap_u = vertex_terms(geom_left, u, u, a0, a2)
     value += float(g_vol @ vol)
+    w = (a2 * vol)[:, None] * lap_u
     grad_r = (2.0 * a0) * vol[:, None] * u
-    grad_r += (2.0 * a2) * (geom_left.lap @ (vol[:, None] * lap_u))
-    g_dq += cot_channel(geom_left, lam)
+    grad_r += 2.0 * (geom_left.lap @ w)
+    dw = _field_differential(F, w)
+    g_cot, g_area_cot = cot_adjoints(geom_left, corner_adjoints(du, dw, du, dw))
+    g_dq += g_cot
+    g_area += g_area_cot
 
     dn = fr_r.n - n
     value += c1 * float(_rowdot(dn, dn) @ area)

@@ -463,10 +463,11 @@ def _read_obj(path):
 
 
 def _write_obj(mesh, path):
-    lines = [f"v {x!r} {y!r} {z!r}\n" for x, y, z in mesh.vertices.tolist()]
-    lines += [f"f {a} {b} {c}\n" for a, b, c in (mesh.faces + 1).tolist()]
+    # one formatting call per section; %r is repr, which round-trips every double
+    v, f = mesh.vertices, mesh.faces + 1
     with open(path, "w") as fh:
-        fh.write("".join(lines))
+        fh.write(("v %r %r %r\n" * len(v)) % tuple(v.ravel().tolist()))
+        fh.write(("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()))
 
 
 _PLY_TYPES = {

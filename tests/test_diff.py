@@ -19,7 +19,14 @@ from elsa._diff import (
     path_energy_with_grads,
     step_energy_discrete_with_grads,
 )
-from elsa.mesh import MeshError, vertex_volumes
+from elsa.mesh import (
+    _OPPOSITE,
+    MeshError,
+    face_cotangents,
+    face_frames,
+    scatter_corners,
+    vertex_volumes,
+)
 from elsa.metric import _field_differential, _geometry
 
 import synthetic as syn
@@ -359,3 +366,52 @@ def test_step_energy_linear_in_the_weights():
             _assert_linear_in_weights(
                 lambda c: np.asarray(step_energy_discrete_with_grads(geom, vr, c)[part]), BODY
             )
+
+
+def test_cot_adjoints_match_central_differences_of_cotangents():
+    # one corner's adjoints, random per face and zero at the other corners:
+    # the folded edge and area adjoints, scattered onto the vertices, are the
+    # gradient of sum_f lam_f cot_k(f), obtuse corners included
+    mesh = syn.bumpy_mesh(35)
+    geom = _geometry(mesh)
+    assert geom.cot.min() < -0.5
+    fr = geom.frames
+    rng = np.random.default_rng(600)
+    for corner in range(3):
+        lam = np.zeros((mesh.n_faces, 3))
+        lam[:, corner] = rng.uniform(0.5, 1.5, mesh.n_faces)
+        g_dq, g_area = _diff.cot_adjoints(geom, lam)
+        g_dq = g_dq + _diff.area_edge_grads(fr.dq, fr.n, g_area)
+        grad = scatter_corners(mesh.faces, _diff.edge_corners(g_dq), mesh.n_vertices)
+
+        def weighted_cot(x, lam=lam):
+            cot = face_cotangents(face_frames(mesh.with_vertices(x, validate=False)))
+            return float(np.sum(lam * cot))
+
+        _directional_match(weighted_cot, grad, mesh.vertices, rng, n_dirs=6, tol=1e-7)
+
+
+def test_corner_adjoints_match_opposite_edge_gathers():
+    # (u_i - u_j).(wv_i - wv_j) + (v_i - v_j).(wu_i - wu_j) for each corner's
+    # opposite edge (i, j), gathered from the vertex fields
+    mesh = syn.bumpy_mesh(35)
+    F = mesh.faces
+    rng = np.random.default_rng(601)
+    u, v, wu, wv = rng.standard_normal((4,) + mesh.vertices.shape)
+    got = _diff.corner_adjoints(*(_field_differential(F, h) for h in (u, wv, v, wu)))
+
+    def edge(h, i, j):
+        return h[F[:, i]] - h[F[:, j]]
+
+    expected = np.stack([
+        np.einsum("mk,mk->m", edge(u, i, j), edge(wv, i, j))
+        + np.einsum("mk,mk->m", edge(v, i, j), edge(wu, i, j))
+        for i, j in _OPPOSITE
+    ], axis=1)
+    assert got.shape == (mesh.n_faces, 3)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    du, dwu = _field_differential(F, u), _field_differential(F, wu)
+    same = _diff.corner_adjoints(du, dwu, du, dwu)
+    expected_same = np.stack([2.0 * np.einsum("mk,mk->m", edge(u, i, j), edge(wu, i, j))
+                              for i, j in _OPPOSITE], axis=1)
+    assert np.max(np.abs(same - expected_same)) <= 1e-13 * np.max(np.abs(expected_same))

@@ -119,6 +119,23 @@ def test_obj_bytes_are_repr_lines(tmp_path):
     assert path.read_bytes() == expected.encode("ascii")
 
 
+def test_obj_awkward_floats_are_repr_lines_and_round_trip(tmp_path):
+    # the writer formats all vertex lines in one call: its text must still be
+    # the per-line repr text, and load back bit for bit, signed zero included
+    awkward = [-0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2, -1e-05]
+    vertices = np.array([awkward[:3], awkward[3:], [1.0, -0.0, 0.5], [0.25, 2.0, -3.0]])
+    mesh = TriangleMesh(vertices, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]]))
+    path = tmp_path / "awkward.obj"
+    save_mesh(mesh, path)
+    expected = "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in vertices.tolist())
+    expected += "".join(f"f {a} {b} {c}\n" for a, b, c in (mesh.faces + 1).tolist())
+    assert path.read_bytes() == expected.encode("ascii")
+    assert "v -0.0 1e-05 1e+16\nv 5e-324 0.30000000000000004 -1e-05\n" in expected
+    back = load_mesh(path)
+    assert back.vertices.tobytes() == vertices.tobytes()
+    assert np.array_equal(back.faces, mesh.faces)
+
+
 @pytest.mark.parametrize("fmt,binary", [("obj", False), ("ply", False), ("ply", True)])
 def test_roundtrip_random_meshes(tmp_path, fmt, binary):
     for seed in range(3):
